@@ -153,48 +153,21 @@ Server::submit(engine::Sample sample, const RequestOptions &opts)
     }
 
     const std::int64_t t = realNow();
-    PendingReq req = makeRequest(std::move(sample), opts, t);
-    auto fut = req.state->promise.get_future();
-
     // Breaker state is central (it aggregates outcomes from every
     // replica), so a breaker-enabled server pays for mu_ here. With
-    // the breaker off — the default — the fast path below touches
-    // only the owning shard.
+    // the breaker off — the default — the fast path touches only the
+    // owning shard.
     std::unique_lock<std::mutex> global;
     if (cfg_.breaker.enabled()) {
         global = std::unique_lock<std::mutex>(mu_);
         breakerAdvanceLocked(t);
     }
-
-    Shard &sh = shardOf(req.request_id);
-    std::unique_lock<std::mutex> slock(sh.mu);
-    ++sh.delta.submitted;
-    if (draining_.load() || stop_.load()) {
-        fulfillRejectLocked(sh, req, Reject::ShuttingDown, t);
-        return fut;
-    }
-    if (req.deadline_ns <= t) {
-        fulfillRejectLocked(sh, req, Reject::DeadlineExceeded, t);
-        return fut;
-    }
-    if (cfg_.breaker.enabled() &&
-        breaker_.state == BreakerState::Open) {
-        fulfillRejectLocked(sh, req, Reject::BreakerOpen, t);
-        return fut;
-    }
-    // Shed this shard's expired entries (their retry/hedge timers
-    // are reaped lazily — firing a timer of a resolved request is a
-    // no-op); the global sweep happens on the worker side.
-    shedShardLocked(sh, t, /*reap=*/false);
-    if (!tryReserveQueueSlot()) {
-        fulfillRejectLocked(sh, req, Reject::QueueFull, t);
-        return fut;
-    }
-    admitShardLocked(sh, std::move(req), t);
-    slock.unlock();
+    Reject verdict = Reject::None;
+    auto fut = submitAtLocked(t, std::move(sample), opts, &verdict);
     if (global.owns_lock())
         global.unlock();
-    wakeWorkers();
+    if (verdict == Reject::None)
+        wakeWorkers();
     return fut;
 }
 
@@ -210,42 +183,61 @@ Server::submitAt(std::int64_t arrival_ns, engine::Sample sample,
 std::future<Response>
 Server::submitAtLocked(std::int64_t arrival_ns,
                        engine::Sample sample,
-                       const RequestOptions &opts)
+                       const RequestOptions &opts, Reject *verdict)
 {
     PendingReq req = makeRequest(std::move(sample), opts, arrival_ns);
     auto fut = req.state->promise.get_future();
     Shard &sh = shardOf(req.request_id);
     std::lock_guard<std::mutex> slock(sh.mu);
     ++sh.delta.submitted;
+    Reject v = Reject::None;
     if (draining_.load() || stop_.load()) {
-        fulfillRejectLocked(sh, req, Reject::ShuttingDown,
+        // virtual_now_ stays 0 under the real clock.
+        v = Reject::ShuttingDown;
+        fulfillRejectLocked(sh, req, v,
                             std::max(arrival_ns, virtual_now_));
-        return fut;
+    } else if (cfg_.clock == ClockMode::Virtual) {
+        arrivals_.push_back(Arrival{arrival_ns, std::move(req)});
+    } else {
+        v = admitLocked(sh, req, arrival_ns);
     }
-    arrivals_.push_back(Arrival{arrival_ns, std::move(req)});
+    if (verdict != nullptr)
+        *verdict = v;
     return fut;
 }
 
-bool
-Server::tryReserveQueueSlot()
+Reject
+Server::admitLocked(Shard &sh, PendingReq &req, std::int64_t t)
 {
-    // fetch_add-then-check keeps the bound exact under concurrent
-    // submits to different shards: each admit atomically claims one
-    // slot and rolls back on overflow.
-    if (queued_.fetch_add(1) < cfg_.max_queue)
-        return true;
-    queued_.fetch_sub(1);
-    return false;
-}
-
-void
-Server::admitShardLocked(Shard &sh, PendingReq &&req, std::int64_t t)
-{
+    Reject verdict = Reject::None;
+    if (req.deadline_ns <= t) {
+        verdict = Reject::DeadlineExceeded;
+    } else if (cfg_.breaker.enabled() &&
+               breaker_.state == BreakerState::Open) {
+        verdict = Reject::BreakerOpen;
+    } else {
+        // Shed this shard's expired entries so they free their slots
+        // (their retry/hedge timers are reaped lazily — firing a
+        // timer of a resolved request is a no-op). fetch_add-then-
+        // check keeps the bound exact under concurrent submits to
+        // different shards: each admit claims one slot atomically
+        // and rolls back on overflow.
+        shedShardLocked(sh, t, /*reap=*/false);
+        if (queued_.fetch_add(1) >= cfg_.max_queue) {
+            queued_.fetch_sub(1);
+            verdict = Reject::QueueFull;
+        }
+    }
+    if (verdict != Reject::None) {
+        fulfillRejectLocked(sh, req, verdict, t);
+        return verdict;
+    }
     ++req.state->live;
     ++sh.delta.accepted;
     if (sh.delta.first_submit_ns < 0 || t < sh.delta.first_submit_ns)
         sh.delta.first_submit_ns = t;
     sh.pool.enqueue(std::move(req));
+    return Reject::None;
 }
 
 void
@@ -287,14 +279,6 @@ Server::fulfillRejectLocked(Shard &sh, PendingReq &req, Reject reason,
         defer->push_back(Resolution{req.state, std::move(resp)});
     else
         req.state->promise.set_value(std::move(resp));
-}
-
-void
-Server::rejectQueuedLocked(Shard &sh, PendingReq &req, Reject reason,
-                           std::int64_t event_ns)
-{
-    fulfillRejectLocked(sh, req, reason, event_ns);
-    purgeShardCopiesLocked(sh, req.state);
 }
 
 void
@@ -416,11 +400,10 @@ Server::replicaEligibleLocked(int replica) const
 }
 
 Server::Batch
-Server::takeBatchLocked(int replica, std::int64_t t, FlushCause cause)
+Server::takeBatchLocked(int replica, FlushCause cause)
 {
     Batch batch;
     batch.replica = replica;
-    batch.dispatch_ns = t;
     batch.cause = cause;
 
     // K-way merge over the shard lanes: hold every shard lock
@@ -472,6 +455,49 @@ Server::takeBatchLocked(int replica, std::int64_t t, FlushCause cause)
         shardOf(req.request_id).pool.enqueue(std::move(req));
     }
     return batch;
+}
+
+std::optional<Server::Batch>
+Server::dispatchLocked(int replica, std::int64_t t)
+{
+    FlushCause cause;
+    if (!flushReadyLocked(t, &cause))
+        return std::nullopt;
+    Batch batch = takeBatchLocked(replica, cause);
+    if (batch.reqs.empty())
+        return std::nullopt; // a concurrent shed raced the decision
+    // Stamp the dispatch after the pop: every popped request read its
+    // submit time before it enqueued, so its queue time cannot be
+    // negative. The virtual clock stands still meanwhile.
+    batch.dispatch_ns =
+        cfg_.clock == ClockMode::Virtual ? virtual_now_ : realNow();
+    applyChaosAtDispatchLocked(batch);
+    if (cfg_.breaker.enabled() &&
+        breaker_.state == BreakerState::HalfOpen) {
+        batch.half_open_trial = true;
+        ++breaker_.half_open_inflight;
+    }
+    scheduleHedgeLocked(batch);
+    ++in_flight_;
+    return batch;
+}
+
+std::int64_t
+Server::nextQueueEventLocked(std::int64_t t, bool can_flush) const
+{
+    std::int64_t next = std::min(nextRetryNsLocked(), nextHedgeNsLocked());
+    const std::size_t depth = queued_.load();
+    if (depth == 0)
+        return next;
+    next = std::min(next, nearestDeadlineAnyLocked());
+    if (!can_flush)
+        return next;
+    if (depth >= cfg_.max_batch || draining_.load())
+        return std::min(next, t);
+    const std::int64_t oldest = oldestQueuedAnyLocked();
+    if (oldest != kNever)
+        next = std::min(next, oldest + cfg_.max_delay_ns);
+    return next;
 }
 
 std::int64_t
@@ -740,6 +766,18 @@ Server::runProbeLocked(int replica, std::int64_t t)
 }
 
 void
+Server::fireTimersLocked(std::int64_t t)
+{
+    fireHedgesLocked(t);
+    for (std::size_t r = 0; r < health_.size(); ++r)
+        if (health_[r].state == ReplicaState::Quarantined &&
+            health_[r].probe_at <= t)
+            runProbeLocked(static_cast<int>(r), t);
+    shedExpiredAllLocked(t);
+    fireRetriesLocked(t);
+}
+
+void
 Server::fireRetriesLocked(std::int64_t t)
 {
     if (retries_.empty())
@@ -921,6 +959,7 @@ Server::processOutcomeLocked(Batch &batch, Outcome &outcome,
     const std::int64_t service = complete_ns - batch.dispatch_ns;
     const bool ok = outcome.ok;
 
+    --in_flight_;
     engine_.recordBatchOutcome(r, ok, service, ok ? n : 0);
     breakerOnOutcomeLocked(ok, batch.half_open_trial, complete_ns);
 
@@ -1076,89 +1115,56 @@ Server::processOutcomeLocked(Batch &batch, Outcome &outcome,
 void
 Server::workerMain(int replica)
 {
+    const RepHealth &h = health_[static_cast<std::size_t>(replica)];
     std::unique_lock<std::mutex> lock(mu_);
     for (;;) {
         const std::int64_t t = realNow();
         breakerAdvanceLocked(t);
-        RepHealth &h = health_[static_cast<std::size_t>(replica)];
         if (h.state == ReplicaState::Spare) {
             if (stop_.load())
                 return;
             work_cv_.wait(lock);
             continue;
         }
-        if (h.state == ReplicaState::Quarantined) {
+        fireTimersLocked(t); // runs this replica's probe when due
+        if (h.state != ReplicaState::Active) {
+            // Still quarantined: sleep until the next probe. (A probe
+            // that readmitted it as a spare loops to the branch above.)
             if (stop_.load())
                 return;
-            if (t < h.probe_at) {
-                const std::int64_t wake =
-                    std::min(h.probe_at, t + kMaxWaitNs);
+            if (h.state == ReplicaState::Quarantined)
                 work_cv_.wait_until(
-                    lock, epoch_ + std::chrono::nanoseconds(wake));
-                continue;
-            }
-            runProbeLocked(replica, t);
+                    lock, epoch_ + std::chrono::nanoseconds(std::min(
+                                       h.probe_at, t + kMaxWaitNs)));
             continue;
         }
-        fireRetriesLocked(t);
-        fireHedgesLocked(t);
-        shedExpiredAllLocked(t);
         const std::size_t q0 = queued_.load();
+        const bool eligible = replicaEligibleLocked(replica);
+        std::optional<Batch> batch =
+            eligible ? dispatchLocked(replica, t) : std::nullopt;
+        if (batch) {
+            lock.unlock();
+            Outcome out = executeBatch(*batch);
+            const std::int64_t done = realNow();
+            lock.lock();
+            processOutcomeLocked(*batch, out, done);
+            drain_cv_.notify_all();
+            work_cv_.notify_all();
+            continue;
+        }
         if (q0 == 0) {
             if (!workPendingLocked())
                 drain_cv_.notify_all();
             if (stop_.load())
                 return;
-            const std::int64_t wake = std::min(
-                {nextRetryNsLocked(), nextHedgeNsLocked(),
-                 t + kMaxWaitNs});
-            // Publish-then-recheck: a submitter that enqueued after
-            // our load either sees sleepers_ > 0 and notifies under
-            // mu_, or we see its entry here and skip the wait.
-            sleepers_.fetch_add(1);
-            if (queued_.load() == 0)
-                work_cv_.wait_until(
-                    lock, epoch_ + std::chrono::nanoseconds(wake));
-            sleepers_.fetch_sub(1);
-            continue;
         }
-        FlushCause cause;
-        if (replicaEligibleLocked(replica) &&
-            flushReadyLocked(t, &cause)) {
-            Batch batch = takeBatchLocked(replica, t, cause);
-            if (batch.reqs.empty())
-                continue; // a concurrent shed raced the decision
-            applyChaosAtDispatchLocked(batch);
-            if (cfg_.breaker.enabled() &&
-                breaker_.state == BreakerState::HalfOpen) {
-                batch.half_open_trial = true;
-                ++breaker_.half_open_inflight;
-            }
-            scheduleHedgeLocked(batch);
-            ++in_flight_;
-            lock.unlock();
-            Outcome out = executeBatch(batch);
-            const std::int64_t done = realNow();
-            lock.lock();
-            --in_flight_;
-            processOutcomeLocked(batch, out, done);
-            drain_cv_.notify_all();
-            work_cv_.notify_all();
-            continue;
-        }
-        // Partial batch (or this replica is held out): sleep until
-        // the delay flush, the nearest deadline, or the next
-        // retry/hedge fire, whichever comes first (capped; new
-        // arrivals and state changes notify).
-        std::int64_t wake = t + kMaxWaitNs;
-        if (replicaEligibleLocked(replica)) {
-            const std::int64_t oldest = oldestQueuedAnyLocked();
-            if (oldest != kNever)
-                wake = std::min(wake, oldest + cfg_.max_delay_ns);
-            wake = std::min(wake, nearestDeadlineAnyLocked());
-        }
-        wake = std::min(
-            {wake, nextRetryNsLocked(), nextHedgeNsLocked()});
+        // Sleep until the next queue event (capped; new arrivals and
+        // state changes notify). Publish-then-recheck: a submitter
+        // that enqueued after our load either sees sleepers_ > 0 and
+        // notifies under mu_, or we see its entry here and skip the
+        // wait.
+        const std::int64_t wake =
+            std::min(nextQueueEventLocked(t, eligible), t + kMaxWaitNs);
         sleepers_.fetch_add(1);
         if (queued_.load() == q0)
             work_cv_.wait_until(
@@ -1199,43 +1205,22 @@ Server::runVirtualLocked(std::unique_lock<std::mutex> &lock)
         static_cast<std::size_t>(engine_.replicas()));
 
     for (;;) {
-        // Next event: arrival, completion, deadline expiry, batch
-        // flush (only while an eligible replica is free), retry
-        // ready, hedge fire, health probe, scripted chaos, or the
-        // breaker's open_until.
-        std::int64_t t = kNever;
-        if (next < arrivals.size())
-            t = std::min(t, arrivals[next].arrival_ns);
-        bool any_running = false;
+        // Next event: arrival, completion, queue event (deadline
+        // expiry, batch flush while an eligible replica is free,
+        // retry ready, hedge fire), health probe, scripted chaos, or
+        // the breaker's open_until.
+        std::int64_t t =
+            next < arrivals.size() ? arrivals[next].arrival_ns : kNever;
         bool any_eligible_free = false;
         for (std::size_t r = 0; r < running.size(); ++r) {
-            if (running[r]) {
-                any_running = true;
+            if (running[r])
                 t = std::min(t, running[r]->complete_ns);
-            } else if (replicaEligibleLocked(static_cast<int>(r))) {
+            else if (replicaEligibleLocked(static_cast<int>(r)))
                 any_eligible_free = true;
-            }
         }
-        const std::size_t depth = queued_.load();
-        if (depth > 0) {
-            t = std::min(t, nearestDeadlineAnyLocked());
-            if (any_eligible_free) {
-                if (depth >= cfg_.max_batch || draining_.load()) {
-                    t = std::min(t, virtual_now_);
-                } else {
-                    const std::int64_t oldest =
-                        oldestQueuedAnyLocked();
-                    if (oldest != kNever)
-                        t = std::min(t,
-                                     oldest + cfg_.max_delay_ns);
-                }
-            }
-        }
-        t = std::min(t, nextRetryNsLocked());
-        t = std::min(t, nextHedgeNsLocked());
-        const bool work = depth > 0 || !retries_.empty() ||
-                          any_running || next < arrivals.size();
-        if (work) {
+        t = std::min(t,
+                     nextQueueEventLocked(virtual_now_, any_eligible_free));
+        if (workPendingLocked() || next < arrivals.size()) {
             t = std::min(t, nextProbeNsLocked());
             if (cfg_.chaos.enabled())
                 t = std::min(t, chaos_.nextScriptNs());
@@ -1271,64 +1256,33 @@ Server::runVirtualLocked(std::unique_lock<std::mutex> &lock)
             running[r].reset();
         }
 
-        // 2. Hedge fires, 3. health probes (replica order).
-        fireHedgesLocked(virtual_now_);
-        for (std::size_t r = 0; r < health_.size(); ++r)
-            if (health_[r].state == ReplicaState::Quarantined &&
-                health_[r].probe_at <= virtual_now_)
-                runProbeLocked(static_cast<int>(r), virtual_now_);
+        // 2. Timers: hedges, probes, shedding, retries.
+        fireTimersLocked(virtual_now_);
 
-        // 4. Shed queued requests whose deadlines have now passed,
-        //    re-admit due retries, then fire due arrivals against
-        //    the cleaned queue.
-        shedExpiredAllLocked(virtual_now_);
-        fireRetriesLocked(virtual_now_);
+        // 3. Due arrivals, admitted against the cleaned queue.
         while (next < arrivals.size() &&
                arrivals[next].arrival_ns <= virtual_now_) {
-            const std::int64_t at =
-                std::max(arrivals[next].arrival_ns, virtual_now_);
-            PendingReq req = std::move(arrivals[next].req);
-            ++next;
-            req.submit_ns = at;
-            req.queued_ns = at;
+            PendingReq &req = arrivals[next++].req;
+            req.submit_ns = virtual_now_;
+            req.queued_ns = virtual_now_;
             Shard &sh = shardOf(req.request_id);
             std::lock_guard<std::mutex> slock(sh.mu);
-            if (req.deadline_ns <= at) {
-                fulfillRejectLocked(sh, req,
-                                    Reject::DeadlineExceeded, at);
-            } else if (cfg_.breaker.enabled() &&
-                       breaker_.state == BreakerState::Open) {
-                fulfillRejectLocked(sh, req, Reject::BreakerOpen,
-                                    at);
-            } else if (!tryReserveQueueSlot()) {
-                fulfillRejectLocked(sh, req, Reject::QueueFull, at);
-            } else {
-                admitShardLocked(sh, std::move(req), at);
-            }
+            admitLocked(sh, req, virtual_now_);
         }
 
-        // 5. Form batches on eligible free replicas (ascending id),
-        //    then execute them concurrently over the worker pool.
+        // 4. Dispatch onto eligible free replicas (ascending id),
+        //    then execute the batches concurrently over the worker
+        //    pool.
         std::vector<Batch> formed;
         for (std::size_t r = 0; r < running.size(); ++r) {
             if (running[r] ||
                 !replicaEligibleLocked(static_cast<int>(r)))
                 continue;
-            FlushCause cause;
-            if (!flushReadyLocked(virtual_now_, &cause))
+            std::optional<Batch> batch =
+                dispatchLocked(static_cast<int>(r), virtual_now_);
+            if (!batch)
                 break;
-            Batch batch = takeBatchLocked(static_cast<int>(r),
-                                          virtual_now_, cause);
-            if (batch.reqs.empty())
-                break;
-            applyChaosAtDispatchLocked(batch);
-            if (cfg_.breaker.enabled() &&
-                breaker_.state == BreakerState::HalfOpen) {
-                batch.half_open_trial = true;
-                ++breaker_.half_open_inflight;
-            }
-            scheduleHedgeLocked(batch);
-            formed.push_back(std::move(batch));
+            formed.push_back(std::move(*batch));
         }
         if (!formed.empty()) {
             std::vector<Outcome> outs(formed.size());

@@ -21,17 +21,17 @@
  *
  * Sharded front-end (PR 10): admission no longer funnels through the
  * scheduler mutex. The pending queue is split over
- * ServerConfig::admission_shards independent shards (default: one
- * per replica), each owning its own mutex, a slab-allocated
- * RequestPool with per-priority FIFO lanes (request_pool.hh), and a
- * MetricsDelta accumulator (metrics.hh). submit() routes by
- * request id (request_id % shards) and touches ONLY that shard:
- * admission control, typed rejections and the submitted/accepted
- * counters all happen under the shard lock, with the global queue
- * bound enforced by one atomic depth counter. Every copy of a
- * request — primary, retry, hedge — routes to the same shard (copies
- * share the request_id), so first-resolution-wins cancellation stays
- * a single-shard operation. Batch formation k-way-merges the shard
+ * ServerConfig::admission_shards independent shards (default: one per
+ * replica), each owning its own mutex, a slab-allocated RequestPool
+ * with per-priority FIFO lanes (request_pool.hh), and a MetricsDelta
+ * accumulator (metrics.hh). submit() routes by request id (request_id
+ * % shards) and touches ONLY that shard: admission control
+ * (admitLocked), typed rejections and the submitted/accepted counters
+ * all happen under the shard lock, with the global queue bound
+ * enforced by one atomic depth counter. Every copy of a request —
+ * primary, retry, hedge — routes to the same shard (copies share the
+ * request_id), so first-resolution-wins cancellation stays a
+ * single-shard operation. Batch formation k-way-merges the shard
  * lanes under all shard locks (taken in ascending index order) and
  * pops exactly max_batch entries in (priority desc, arrival asc)
  * order — O(batch), not O(queue log queue). Shard metric deltas are
@@ -73,31 +73,45 @@
  *    an entire chaos campaign replays byte-identically at any
  *    worker-thread count.
  *
- * Two clock modes:
+ * Two clock modes, one policy: each serving step has exactly one
+ * implementation, called from both clocks, so the virtual replay is
+ * the ground truth for the real server.
+ *
+ *  - submitAtLocked(): the submission entry. ShuttingDown once
+ *    draining, else defer (virtual) or admit at once (real).
+ *  - admitLocked(): deadline passed -> DeadlineExceeded, breaker
+ *    open -> BreakerOpen, no queue slot -> QueueFull, else enqueue.
+ *  - fireTimersLocked(): hedge fires -> due probes (replica order)
+ *    -> deadline shedding -> due retries.
+ *  - dispatchLocked(): flush decision -> take batch -> chaos fate ->
+ *    half-open trial mark -> hedge arming; dispatch_ns is read after
+ *    the pop, so queue time is never negative.
+ *  - nextQueueEventLocked(): next flush, deadline, retry or hedge.
  *
  *  - ClockMode::Real — wall-clock serving. One worker thread per
- *    replica pulls batches from the sharded pending queue; timestamps
- *    are steady_clock nanoseconds since construction. Quarantined
- *    replicas' workers run their own probe schedule; spare workers
- *    sleep until promoted. Throughput is whatever the host delivers;
- *    no byte-determinism is promised (chaos service-time scaling is
+ *    replica loops: timer step, then dispatch and execute a batch or
+ *    sleep until the next queue event. Timestamps are steady_clock
+ *    nanoseconds since construction. Quarantined replicas' workers
+ *    sleep until their probe is due; spare workers until promoted.
+ *    No byte-determinism is promised (chaos service-time scaling is
  *    virtual-only; crashes/faults/degrades apply in both modes).
  *
  *  - ClockMode::Virtual — deterministic discrete-event serving for
  *    tests and the open-loop benches. Requests carry logical arrival
- *    times (submitAt), runVirtual() plays the whole timeline:
- *    batches form at exact logical instants, service time is the
+ *    times (submitAt), runVirtual() plays the whole timeline: it
+ *    jumps to the next event, then runs, in this order, (1) due
+ *    completions in (complete_ns, replica) order, (2) the timer
+ *    step, (3) due arrivals through admitLocked(), (4) dispatch onto
+ *    eligible free replicas in ascending index. Service time is the
  *    batch's *modelled chip time* (est_time_ps scaled by
- *    virtual_ns_per_ps, then by the chaos service scale), and
- *    completions/rejections/retries/hedges/probes are processed in a
- *    fixed order. Same seed + config => byte-identical
- *    ServerMetrics::toJson() for ANY worker-thread count AND any
- *    admission-shard count.
+ *    virtual_ns_per_ps, then by the chaos service scale). Same
+ *    seed + config => byte-identical ServerMetrics::toJson() for ANY
+ *    worker-thread count AND any admission-shard count.
  *
  * Batcher state machine (both modes share it):
  *
- *        +--------- submit/submitAt ----------+
- *        v                                    |
+ *        +------ submit/submitAt -> admitLocked ------+
+ *        v                                            |
  *   [Accumulating] --size >= max_batch--> [Flush(size)]
  *        | oldest wait >= max_delay_ns -> [Flush(delay)]
  *        | draining && nonempty -------> [Flush(drain)]
@@ -105,9 +119,10 @@
  *        | depth == max_queue at admit -> reject(QueueFull)
  *        | breaker open at admit ------> reject(BreakerOpen)
  *
- * A flush pops up to max_batch requests in (priority desc, arrival
- * asc) order onto the first free *active* replica; expired requests
- * are shed at pop time, never executed.
+ * A flush (dispatchLocked) pops up to max_batch requests in
+ * (priority desc, arrival asc) order onto the first free *active*
+ * replica; expired requests are shed by the timer step, never
+ * executed.
  */
 
 #ifndef SUSHI_SERVE_SERVER_HH
@@ -120,6 +135,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -352,17 +368,18 @@ class Server
     }
 
     // ---- Admission path (owning shard's lock held unless noted).
+    /** mu_ held in virtual mode, and in real mode iff the breaker
+     *  is enabled. @p verdict gets None when admitted or deferred. */
     std::future<Response> submitAtLocked(std::int64_t arrival_ns,
                                          engine::Sample sample,
-                                         const RequestOptions &opts);
+                                         const RequestOptions &opts,
+                                         Reject *verdict = nullptr);
     PendingReq makeRequest(engine::Sample &&sample,
                            const RequestOptions &opts,
                            std::int64_t t);
-    /** Claim one queue slot against max_queue (exact global bound;
-     *  no lock needed — the depth counter is atomic). */
-    bool tryReserveQueueSlot();
-    void admitShardLocked(Shard &sh, PendingReq &&req,
-                          std::int64_t t);
+    /** Resolves every rejection itself; mu_ also held when the
+     *  breaker is enabled. */
+    Reject admitLocked(Shard &sh, PendingReq &req, std::int64_t t);
     /** A resolution deferred past the batch's central metrics
      *  section: "my future completed" must imply a subsequent
      *  metrics() snapshot already shows the whole batch (flush
@@ -381,10 +398,6 @@ class Server
                              Reject reason, std::int64_t event_ns,
                              std::vector<Resolution> *defer =
                                  nullptr);
-    /** fulfillRejectLocked + purge of still-queued sibling copies in
-     *  the owning shard. */
-    void rejectQueuedLocked(Shard &sh, PendingReq &req, Reject reason,
-                            std::int64_t event_ns);
     void purgeShardCopiesLocked(
         Shard &sh, const std::shared_ptr<ReqState> &state);
     /** Drop retry entries / hedge timers of a resolved request.
@@ -405,8 +418,12 @@ class Server
      *  (ascending); pops up to max_batch in (priority desc, id asc)
      *  order. May return an empty batch if a concurrent shed raced
      *  the flush decision. */
-    Batch takeBatchLocked(int replica, std::int64_t t,
-                          FlushCause cause);
+    Batch takeBatchLocked(int replica, FlushCause cause);
+    /** For an eligible free @p replica; empty when no flush is due. */
+    std::optional<Batch> dispatchLocked(int replica, std::int64_t t);
+    /** @p can_flush: some eligible replica is free to take a batch. */
+    std::int64_t nextQueueEventLocked(std::int64_t t,
+                                      bool can_flush) const;
     std::int64_t oldestQueuedAnyLocked() const;
     std::int64_t nearestDeadlineAnyLocked() const;
 
@@ -416,6 +433,7 @@ class Server
     void applyChaosAtDispatchLocked(Batch &batch);
     void quarantineLocked(int replica, std::int64_t t);
     void runProbeLocked(int replica, std::int64_t t);
+    void fireTimersLocked(std::int64_t t);
     void fireRetriesLocked(std::int64_t t);
     void fireHedgesLocked(std::int64_t t);
     void scheduleHedgeLocked(const Batch &batch);

@@ -30,7 +30,6 @@
 #include <string>
 #include <vector>
 
-#include "common/stats.hh"
 #include "common/time.hh"
 #include "sfq/compiled_netlist.hh"
 #include "sfq/event_queue.hh"
@@ -260,10 +259,6 @@ class Simulator
      */
     void setPulseDropRate(double rate, std::uint64_t seed = 1);
 
-    /** True if fault injection says this delivery is lost (shim —
-     *  components consult faults().onDeliver() directly). */
-    bool pulseDropped();
-
     /** Pulses lost to injected faults so far. */
     std::uint64_t droppedPulses() const
     {
@@ -279,10 +274,6 @@ class Simulator
     {
         return queue_.executed() + extra_events_;
     }
-
-    /** Mutable stats registry shared by all components. */
-    StatSet &stats() { return stats_; }
-    const StatSet &stats() const { return stats_; }
 
   private:
     EventQueue queue_;
@@ -306,8 +297,6 @@ class Simulator
     std::int32_t last_v_cell_ = -1;
     std::int32_t last_v_port_ = -1;
     std::mutex violation_mu_;
-
-    StatSet stats_;
 
     // Pooled callback storage: the queue carries only the slot index
     // (EventQueue::kCallbackCell events), so callbacks never allocate

@@ -6,13 +6,14 @@
  * priority ordering under contention, drain/shutdown semantics, the
  * virtual-clock determinism property (same seed + config ==>
  * byte-identical ServerMetrics JSON across worker-thread counts and
- * repeated runs), and request-level bit-equivalence with a lone
- * SushiChip.
+ * repeated runs), request-level bit-equivalence with a lone
+ * SushiChip, and identical admission verdicts under both clocks.
  */
 
 #include <gtest/gtest.h>
 
 #include <future>
+#include <string>
 #include <vector>
 
 #include "chip/sushi_chip.hh"
@@ -416,6 +417,49 @@ TEST(ServeRealMode, PartialBatchFlushesWithoutDrain)
     EXPECT_TRUE(f1.get().ok());
     EXPECT_GE(server.metrics().flush_delay, 1u);
 }
+
+/** Both clocks run one admission function, so they must hand out the
+ *  same typed verdict for the same situation. */
+class ServeAdmissionVerdict : public ::testing::TestWithParam<ClockMode>
+{
+};
+
+TEST_P(ServeAdmissionVerdict, SameTypedVerdictInBothClocks)
+{
+    const auto samples = randomSamples(1, 16, 3, 15);
+    ServerConfig cfg;
+    cfg.engine.replicas = 1;
+    cfg.max_batch = 8;
+    cfg.max_queue = 1;
+    cfg.max_delay_ns = 3'600'000'000'000; // 1 h: no flush can start
+    cfg.clock = GetParam();
+    Server server(smallModel(), cfg);
+
+    RequestOptions expired;
+    expired.deadline_ns = server.now(); // already passed at admission
+    auto past = server.submit(samples[0], expired);
+    auto first = server.submit(samples[0]);  // takes the only slot
+    auto second = server.submit(samples[0]); // no slot left
+    server.drain(); // flushes the queued one
+    auto late = server.submit(samples[0]);
+
+    EXPECT_EQ(past.get().rejected, Reject::DeadlineExceeded);
+    EXPECT_TRUE(first.get().ok());
+    EXPECT_EQ(second.get().rejected, Reject::QueueFull);
+    EXPECT_EQ(late.get().rejected, Reject::ShuttingDown);
+    const ServerMetrics m = server.metrics();
+    EXPECT_EQ(m.submitted, 4u);
+    EXPECT_EQ(m.completed, 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(BothClocks, ServeAdmissionVerdict,
+                         ::testing::Values(ClockMode::Real,
+                                           ClockMode::Virtual),
+                         [](const auto &info) {
+                             return info.param == ClockMode::Real
+                                        ? std::string("Real")
+                                        : std::string("Virtual");
+                         });
 
 TEST(ServeMetrics, SnapshotJsonRoundsTrip)
 {
