@@ -20,7 +20,7 @@ GateChip::GateChip(sfq::Netlist &net, const compiler::ChipConfig &cfg)
 void
 GateChip::setSimThreads(int threads)
 {
-    sim_threads_ = threads;
+    threads_ = threads;
     if (threads <= 1) {
         psim_.reset();
         return;

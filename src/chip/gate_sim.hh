@@ -84,7 +84,7 @@ class GateChip
     void setSimThreads(int threads);
 
     /** Configured worker threads (0 = sequential default). */
-    int simThreads() const { return sim_threads_; }
+    int simThreads() const { return threads_; }
 
   private:
     /** Re-arm input NPE @p i as a fire-per-pulse relay. */
@@ -98,7 +98,7 @@ class GateChip
     std::unique_ptr<fabric::MeshGate> mesh_;
     std::vector<Tick> bounds_;
     Tick gap_;
-    int sim_threads_ = 0;
+    int threads_ = 0;
     std::unique_ptr<sfq::ParallelSimulator> psim_;
 };
 

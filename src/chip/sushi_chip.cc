@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <bit>
-#include <mutex>
 #include <utility>
 
 #include "common/logging.hh"
-#include "common/parallel.hh"
 #include "fabric/resource_model.hh"
 #include "fabric/timing_model.hh"
 #include "sfq/cell_params.hh"
@@ -17,17 +15,14 @@ namespace {
 
 /** Popcount of (act & mask) over scheduled positions [begin, end). */
 std::uint64_t
-popcountRange(const std::vector<std::uint64_t> &act,
-              const std::vector<std::uint64_t> &mask, int begin,
-              int end)
+popcountRange(const std::uint64_t *act, const std::uint64_t *mask,
+              int begin, int end)
 {
     std::uint64_t count = 0;
     const int w0 = begin / 64;
     const int w1 = (end + 63) / 64;
     for (int w = w0; w < w1; ++w) {
-        std::uint64_t bits =
-            act[static_cast<std::size_t>(w)] &
-            mask[static_cast<std::size_t>(w)];
+        std::uint64_t bits = act[w] & mask[w];
         if (w == w0 && begin % 64)
             bits &= ~std::uint64_t{0} << (begin % 64);
         if (w == w1 - 1 && end % 64)
@@ -217,9 +212,9 @@ SushiChip::stepLayer(const compiler::CompiledLayer &layer,
 
     // Activation bitset over scheduled positions, plus the (rare)
     // multi-pulse entries from upstream wrap artefacts.
-    const std::size_t words = (in_dim + 63) / 64;
-    std::vector<std::uint64_t> act_bits(words, 0);
-    std::vector<std::pair<std::size_t, int>> extras; // (pos, extra)
+    std::vector<std::uint64_t> act_bits(snn::packed::laneWords(in_dim),
+                                        0);
+    std::vector<std::pair<int, std::uint64_t>> extras; // (pos, extra)
     std::uint64_t active_inputs = 0;
     for (std::size_t k = 0; k < in_dim; ++k) {
         const auto idx = static_cast<std::size_t>(
@@ -228,144 +223,115 @@ SushiChip::stepLayer(const compiler::CompiledLayer &layer,
             act_bits[k / 64] |= std::uint64_t{1} << (k % 64);
             ++active_inputs;
             if (act[idx] > 1)
-                extras.emplace_back(k, act[idx] - 1);
+                extras.emplace_back(static_cast<int>(k),
+                                    std::uint64_t{act[idx]} - 1);
         }
+    }
+
+    // Input pulses per bucket, shared by every neuron: a bucket's
+    // inhibitory count is these minus its excitatory count.
+    const auto &buckets = layer.schedule.buckets;
+    std::vector<std::uint64_t> bucket_pulses(buckets.size());
+    for (std::size_t b = 0; b < buckets.size(); ++b) {
+        bucket_pulses[b] = popcountRange(act_bits.data(),
+                                         act_bits.data(),
+                                         buckets[b].begin,
+                                         buckets[b].end);
+        for (const auto &[k, extra] : extras)
+            if (k >= buckets[b].begin && k < buckets[b].end)
+                bucket_pulses[b] += extra;
     }
 
     PulseVector out(out_dim, 0);
     const bool degraded = remap_.failed > 0;
-
-    // Counters spilled from the neuron loop. Neurons are independent
-    // and these are integer sums (exact, order-free), so evaluating
-    // neurons across worker threads yields the same out[] and the
-    // same InferenceStats as the sequential loop, bit for bit.
-    struct NeuronTally
-    {
-        std::uint64_t remapped = 0;
-        std::uint64_t underflow = 0;
-        std::uint64_t syn_ops = 0; // also counts input_pulses
-        std::uint64_t multi = 0;
-    };
-
-    // Pulse traffic of one (neuron, bucket) pair: scheduled-range
-    // popcounts plus the rare multi-pulse extras. Shared by both
-    // kernels so they can only differ in counter arithmetic.
-    auto bucketCounts = [&](std::size_t o,
-                            const compiler::Block &bucket) {
-        std::uint64_t neg = popcountRange(
-            act_bits, layer.neg_masks[o], bucket.begin, bucket.end);
-        std::uint64_t pos = popcountRange(
-            act_bits, layer.pos_masks[o], bucket.begin, bucket.end);
-        for (const auto &[k, extra] : extras) {
-            if (static_cast<int>(k) >= bucket.begin &&
-                static_cast<int>(k) < bucket.end) {
-                const std::uint64_t bit = std::uint64_t{1}
-                                          << (k % 64);
-                if (layer.neg_masks[o][k / 64] & bit)
-                    neg += static_cast<std::uint64_t>(extra);
-                else
-                    pos += static_cast<std::uint64_t>(extra);
-            }
-        }
-        return std::pair<std::uint64_t, std::uint64_t>{neg, pos};
-    };
-
     const bool fast_kernel = packedKernels();
+    const std::uint64_t states = std::uint64_t{1}
+                                 << static_cast<unsigned>(
+                                        cfg_.sc_per_npe);
+    std::uint64_t remapped = 0, underflow = 0, syn_ops = 0, multi = 0;
 
-    auto evalNeuron = [&](std::size_t o, NeuronTally &tl) {
+    for (std::size_t o = 0; o < out_dim; ++o) {
         if (layer.disabled[o])
-            return;
+            continue;
         // Degraded mode: the neuron's home slot is o mod N; if that
         // NPE failed, a healthy host NPE serves it in an extra pass.
         // The counter arithmetic is slot-independent, so results stay
         // bit-identical — only time/reload accounting changes.
         if (degraded &&
             failed_npes_[o % static_cast<std::size_t>(cfg_.n)])
-            ++tl.remapped;
+            ++remapped;
 
+        std::uint64_t spikes = 0;
         if (fast_kernel) {
-            // Closed-form counter, no Npe object per neuron-step.
-            FastCounter npe{layer.preload[o],
-                            std::uint64_t{1}
-                                << static_cast<unsigned>(
-                                       cfg_.sc_per_npe)};
-            std::uint64_t spikes = npe.addUp(
+            // Closed-form counter, no Npe object per neuron-step;
+            // one popcount per bucket against the sign row.
+            const std::uint64_t *sign = layer.signRow(o);
+            FastCounter npe{layer.preload[o], states};
+            spikes = npe.addUp(
                 static_cast<std::uint64_t>(layer.bias_pulses[o]));
-            for (const compiler::Block &bucket :
-                 layer.schedule.buckets) {
-                const auto [neg, pos] = bucketCounts(o, bucket);
+            for (std::size_t b = 0; b < buckets.size(); ++b) {
+                const compiler::Block &bucket = buckets[b];
+                std::uint64_t pos = popcountRange(
+                    act_bits.data(), sign, bucket.begin, bucket.end);
+                for (const auto &[k, extra] : extras)
+                    if (k >= bucket.begin && k < bucket.end &&
+                        ((sign[k / 64] >> (k % 64)) & 1))
+                        pos += extra;
+                const std::uint64_t neg = bucket_pulses[b] - pos;
+                // Inhibitory pass first within every bucket
+                // (Sec. 5.1).
                 if (neg) {
                     const std::uint64_t borrows = npe.addDown(neg);
-                    tl.underflow += borrows;
+                    underflow += borrows;
                     spikes += borrows;
                 }
                 if (pos)
                     spikes += npe.addUp(pos);
-                tl.syn_ops += neg + pos;
+                syn_ops += bucket_pulses[b];
             }
-            if (spikes > 1)
-                ++tl.multi;
-            out[o] = static_cast<std::uint16_t>(spikes);
-            return;
-        }
-
-        // A fresh counter per neuron-step is behaviourally identical
-        // to the time-multiplexed physical NPE (rst + write).
-        npe::Npe npe(cfg_.sc_per_npe);
-        npe.rst();
-        npe.write(layer.preload[o]);
-        npe.setPolarity(npe::Polarity::Excitatory);
-        std::uint64_t spikes = npe.addPulses(
-            static_cast<std::uint64_t>(layer.bias_pulses[o]));
-
-        for (const compiler::Block &bucket : layer.schedule.buckets) {
-            // Inhibitory pass first within every bucket (Sec. 5.1).
-            const auto [neg, pos] = bucketCounts(o, bucket);
-            if (neg) {
-                npe.setPolarity(npe::Polarity::Inhibitory);
-                const std::uint64_t borrows = npe.addPulses(neg);
-                tl.underflow += borrows;
-                spikes += borrows;
+        } else {
+            // The Npe oracle: a scalar walk of the schedule over the
+            // weights, independent of the sign rows above. A fresh
+            // counter per neuron-step is behaviourally identical to
+            // the time-multiplexed physical NPE (rst + write).
+            const auto &w = blayer.weights[o];
+            const int *order = layer.schedule.order.data();
+            npe::Npe npe(cfg_.sc_per_npe);
+            npe.rst();
+            npe.write(layer.preload[o]);
+            npe.setPolarity(npe::Polarity::Excitatory);
+            spikes = npe.addPulses(
+                static_cast<std::uint64_t>(layer.bias_pulses[o]));
+            for (const compiler::Block &bucket : buckets) {
+                std::uint64_t neg = 0, pos = 0;
+                for (int k = bucket.begin; k < bucket.end; ++k) {
+                    const auto idx = static_cast<std::size_t>(order[k]);
+                    (w[idx] < 0 ? neg : pos) += act[idx];
+                }
+                // Inhibitory pass first within every bucket
+                // (Sec. 5.1).
+                if (neg) {
+                    npe.setPolarity(npe::Polarity::Inhibitory);
+                    const std::uint64_t borrows = npe.addPulses(neg);
+                    underflow += borrows;
+                    spikes += borrows;
+                }
+                if (pos) {
+                    npe.setPolarity(npe::Polarity::Excitatory);
+                    spikes += npe.addPulses(pos);
+                }
+                syn_ops += neg + pos;
             }
-            if (pos) {
-                npe.setPolarity(npe::Polarity::Excitatory);
-                spikes += npe.addPulses(pos);
-            }
-            tl.syn_ops += neg + pos;
         }
         if (spikes > 1)
-            ++tl.multi;
+            ++multi;
         out[o] = static_cast<std::uint16_t>(spikes);
-    };
-
-    NeuronTally tally;
-    if (sim_threads_ > 1 && out_dim > 1) {
-        std::mutex mu;
-        ParallelOptions popts;
-        popts.grain = 16;
-        popts.max_workers = sim_threads_;
-        parallelFor(
-            out_dim,
-            [&](std::size_t begin, std::size_t end) {
-                NeuronTally local;
-                for (std::size_t o = begin; o < end; ++o)
-                    evalNeuron(o, local);
-                std::lock_guard<std::mutex> lock(mu);
-                tally.remapped += local.remapped;
-                tally.underflow += local.underflow;
-                tally.syn_ops += local.syn_ops;
-                tally.multi += local.multi;
-            },
-            popts);
-    } else {
-        for (std::size_t o = 0; o < out_dim; ++o)
-            evalNeuron(o, tally);
     }
-    stats_.remapped_neurons += tally.remapped;
-    stats_.underflow_spikes += tally.underflow;
-    stats_.synaptic_ops += tally.syn_ops;
-    stats_.input_pulses += tally.syn_ops;
-    stats_.multi_fires += tally.multi;
+    stats_.remapped_neurons += remapped;
+    stats_.underflow_spikes += underflow;
+    stats_.synaptic_ops += syn_ops;
+    stats_.input_pulses += syn_ops;
+    stats_.multi_fires += multi;
 
     // Reload + timing accounting for this layer-step.
     stats_.reload_events +=

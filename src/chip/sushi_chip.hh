@@ -189,36 +189,30 @@ class SushiChip
      *  tracking the chip's current failure state. */
     void resetStats();
 
-    /**
-     * Evaluate output neurons on up to @p threads worker threads
-     * (<= 1: sequential, the default). Neuron counters are
-     * independent and the spilled statistics are integer sums, so
-     * results and InferenceStats are identical at any setting.
-     */
-    void setSimThreads(int threads) { sim_threads_ = threads; }
-    int simThreads() const { return sim_threads_; }
-
     /// @name Packed-kernel selection.
-    /// The fast path evaluates each neuron-step with closed-form
-    /// counter arithmetic (the exact recurrence Npe::addPulses
-    /// implements) instead of materialising an Npe object per
-    /// neuron. Pulse outputs and every InferenceStats counter are
-    /// bit-identical either way; tests/test_packed_snn.cc fuzzes the
-    /// equivalence. Per-chip override defaults to following the
-    /// process-wide snn::packed toggle (SUSHI_PACKED).
+    /// The fast path counts each (neuron, bucket) pair's excitatory
+    /// pulses with one popcount against the compiled sign row
+    /// (CompiledLayer::signRow; inhibitory = the bucket's input
+    /// pulses minus that) and evaluates the neuron-step with
+    /// closed-form counter arithmetic (the exact recurrence
+    /// Npe::addPulses implements). The oracle counts both classes
+    /// with a scalar walk of the schedule over the binarized weights
+    /// and drives an Npe object, so it shares neither the sign rows
+    /// nor the counter arithmetic. Pulse outputs and every
+    /// InferenceStats counter are bit-identical either way;
+    /// tests/test_packed_snn.cc fuzzes the equivalence. A chip
+    /// follows the process-wide snn::packed toggle (SUSHI_PACKED)
+    /// until setPackedKernels pins it.
     /// @{
 
     /** Force the fast (true) or oracle (false) kernel on this chip. */
-    void setPackedKernels(bool on) { packed_kernels_ = on ? 1 : 0; }
-
-    /** Revert to following the process-wide toggle. */
-    void clearPackedKernelsOverride() { packed_kernels_ = -1; }
+    void setPackedKernels(bool on) { kernel_override_ = on ? 1 : 0; }
 
     /** The kernel stepLayer will use right now. */
     bool packedKernels() const
     {
-        return packed_kernels_ < 0 ? snn::packed::enabled()
-                                   : packed_kernels_ == 1;
+        return kernel_override_ < 0 ? snn::packed::enabled()
+                                    : kernel_override_ == 1;
     }
 
     /// @}
@@ -260,8 +254,7 @@ class SushiChip
     InferenceStats stats_;
     std::vector<std::uint8_t> failed_npes_;
     compiler::NpeRemap remap_;
-    int sim_threads_ = 0;
-    int packed_kernels_ = -1; ///< -1 follow global, else 0/1
+    int kernel_override_ = -1; ///< -1 follow global, else 0/1
 };
 
 } // namespace sushi::chip

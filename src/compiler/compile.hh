@@ -15,6 +15,7 @@
 #include "compiler/bucketing.hh"
 #include "compiler/budget.hh"
 #include "snn/binarize.hh"
+#include "snn/packed.hh"
 
 namespace sushi::compiler {
 
@@ -50,12 +51,29 @@ struct CompiledLayer
     std::vector<std::uint8_t> disabled;
 
     /**
-     * Fast membrane kernels: bitmask of negative / positive synapses
-     * per neuron over the *scheduled* input order, 64 inputs per
-     * word.
+     * Synapse sign bits, one row of laneWords(in_dim) words per
+     * output neuron ([out x words], flat). Same layout and bit
+     * convention as snn::packed::PackedLayer::signRow: bit 1 <=> the
+     * weight is >= 0 (excitatory; zero weights included), tail bits
+     * zero. Bits are in *scheduled* order: bit k of a row is the
+     * sign of input schedule.order[k], so a row is the PackedLayer
+     * row permuted by the schedule. Every scheduled input is in
+     * exactly one class, so the chip derives a bucket's inhibitory
+     * count as its active inputs minus the excitatory popcount.
      */
-    std::vector<std::vector<std::uint64_t>> neg_masks;
-    std::vector<std::vector<std::uint64_t>> pos_masks;
+    std::vector<std::uint64_t> signs;
+
+    /** Words per sign row. */
+    std::size_t signWords() const
+    {
+        return snn::packed::laneWords(schedule.order.size());
+    }
+
+    /** Sign row of output neuron @p o. */
+    const std::uint64_t *signRow(std::size_t o) const
+    {
+        return signs.data() + o * signWords();
+    }
 };
 
 /** A fully compiled network. */

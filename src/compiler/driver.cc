@@ -78,8 +78,8 @@ evaluateCandidate(const snn::BinaryLayer &layer,
     return c;
 }
 
-/** Place pass: preloads, bias pulses and bitmask kernels over the
- *  chosen schedule (unchanged from the historical compileLayer). */
+/** Place pass: preloads, bias pulses and sign rows over the
+ *  chosen schedule. */
 void
 placeLayer(const snn::BinaryLayer &layer, const ChipConfig &chip,
            CompiledLayer &out)
@@ -104,22 +104,15 @@ placeLayer(const snn::BinaryLayer &layer, const ChipConfig &chip,
         out.preload[o] = budget - static_cast<std::uint64_t>(eff);
     }
 
-    // Bitmask kernels over the scheduled order.
-    const std::size_t in_dim = layer.inDim();
-    const std::size_t words = (in_dim + 63) / 64;
-    out.neg_masks.assign(n_out, std::vector<std::uint64_t>(words, 0));
-    out.pos_masks.assign(n_out, std::vector<std::uint64_t>(words, 0));
+    // Sign rows over the scheduled order (bit 1 <=> weight >= 0).
+    const std::size_t words = out.signWords();
+    out.signs.assign(n_out * words, 0);
     for (std::size_t o = 0; o < n_out; ++o) {
         const auto &w = layer.weights[o];
-        for (std::size_t k = 0; k < in_dim; ++k) {
-            const auto idx = static_cast<std::size_t>(
-                out.schedule.order[k]);
-            if (w[idx] < 0)
-                out.neg_masks[o][k / 64] |= std::uint64_t{1}
-                                            << (k % 64);
-            else
-                out.pos_masks[o][k / 64] |= std::uint64_t{1}
-                                            << (k % 64);
+        std::uint64_t *row = out.signs.data() + o * words;
+        for (std::size_t k = 0; k < layer.inDim(); ++k) {
+            if (w[static_cast<std::size_t>(out.schedule.order[k])] >= 0)
+                row[k / 64] |= std::uint64_t{1} << (k % 64);
         }
     }
 }

@@ -60,20 +60,6 @@ struct EngineConfig
     /** Exclude degraded replicas from the shard plan. */
     bool drain_degraded = true;
 
-    /** Worker threads inside each replica's neuron-evaluation loop
-     *  (SushiChip::setSimThreads; <= 1 keeps replicas sequential).
-     *  Orthogonal to max_threads, and — like it — byte-identical
-     *  results at every setting. Not part of the model fingerprint:
-     *  a host execution knob, not a chip property. */
-    int sim_threads = 0;
-
-    /** Replica kernel selection (SushiChip::setPackedKernels):
-     *  -1 follows the process-wide snn::packed toggle, 0 forces the
-     *  Npe-object oracle, 1 forces the closed-form fast kernel.
-     *  Results and stats are bit-identical at every setting — like
-     *  sim_threads, a host knob, not a chip property. */
-    int packed_kernels = -1;
-
     /** Modelled NoC transport for multi-chip plan cuts (noc.enabled;
      *  off by default — the ideal zero-cost transport stays
      *  bit-identical to the historical path). With it on, spike

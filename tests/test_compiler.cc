@@ -238,31 +238,43 @@ TEST(Compile, FullNetworkCompiles)
     EXPECT_GT(compiled.totalReloads(), 0);
 }
 
-TEST(Compile, MasksPartitionInputs)
+TEST(Compile, SignRowsArePackedRowsInScheduleOrder)
 {
     snn::SnnConfig cfg;
-    cfg.input = 70;
+    cfg.input = 70; // ragged lane tail
     cfg.hidden = 9;
     cfg.output = 3;
     cfg.stateless = true;
     snn::SnnMlp mlp(cfg, 23);
     auto bin = snn::BinarySnn::fromFloat(mlp);
+    ASSERT_TRUE(bin.packedReady());
     ChipConfig chip;
     chip.n = 4;
     auto compiled = compileNetwork(bin, chip);
-    const auto &l0 = compiled.layers[0];
-    for (std::size_t o = 0; o < 9; ++o) {
-        // Every input position is in exactly one of the two masks.
-        for (std::size_t w = 0; w < l0.neg_masks[o].size(); ++w) {
-            EXPECT_EQ(l0.neg_masks[o][w] & l0.pos_masks[o][w], 0u);
+    auto bit = [](const std::uint64_t *row, std::size_t k) {
+        return (row[k / 64] >> (k % 64)) & 1;
+    };
+    for (std::size_t l = 0; l < compiled.layers.size(); ++l) {
+        const auto &layer = compiled.layers[l];
+        const auto &packed = bin.packedLayers()[l];
+        const std::size_t in_dim = packed.inDim();
+        const std::size_t words = layer.signWords();
+        ASSERT_EQ(words, packed.words());
+        ASSERT_EQ(layer.signs.size(), packed.outDim() * words);
+        for (std::size_t o = 0; o < packed.outDim(); ++o) {
+            for (std::size_t k = 0; k < in_dim; ++k) {
+                const auto idx =
+                    static_cast<std::size_t>(layer.schedule.order[k]);
+                EXPECT_EQ(bit(layer.signRow(o), k),
+                          bit(packed.signRow(o), idx))
+                    << "layer " << l << " neuron " << o << " pos "
+                    << k;
+            }
+            for (std::size_t k = in_dim; k < words * 64; ++k)
+                EXPECT_EQ(bit(layer.signRow(o), k), 0u)
+                    << "layer " << l << " neuron " << o
+                    << " tail bit " << k;
         }
-        std::uint64_t bits = 0;
-        for (std::size_t w = 0; w < l0.neg_masks[o].size(); ++w) {
-            bits += static_cast<std::uint64_t>(
-                std::popcount(l0.neg_masks[o][w]) +
-                std::popcount(l0.pos_masks[o][w]));
-        }
-        EXPECT_EQ(bits, 70u);
     }
 }
 
@@ -430,8 +442,7 @@ TEST(Driver, LegacyPresetMatchesCompileNetwork)
         EXPECT_EQ(a.layers[l].preload, b.layers[l].preload);
         EXPECT_EQ(a.layers[l].bias_pulses, b.layers[l].bias_pulses);
         EXPECT_EQ(a.layers[l].disabled, b.layers[l].disabled);
-        EXPECT_EQ(a.layers[l].neg_masks, b.layers[l].neg_masks);
-        EXPECT_EQ(a.layers[l].pos_masks, b.layers[l].pos_masks);
+        EXPECT_EQ(a.layers[l].signs, b.layers[l].signs);
     }
     EXPECT_EQ(a.totalReloads(), b.totalReloads());
     EXPECT_EQ(a.disabled_count, a.disabledNeurons());

@@ -209,36 +209,6 @@ TEST(Engine, MergedStatsByteIdenticalAcrossReplicaCounts)
     }
 }
 
-TEST(Engine, SimThreadsByteIdenticalResultsAndStats)
-{
-    // sim_threads fans the per-replica neuron-evaluation loop out
-    // over worker threads; like max_threads it must never move a
-    // result or a stats byte.
-    auto net = tinyNet(24, 12, 5, 3, 47);
-    auto model = CompiledModel::compile(net, smallChip());
-    auto samples = randomSamples(19, 24, 3, 9);
-
-    std::string digest;
-    std::vector<SampleResult> base;
-    for (int sim_threads : {0, 2, 8}) {
-        EngineConfig ecfg;
-        ecfg.replicas = 2;
-        ecfg.sim_threads = sim_threads;
-        InferenceEngine eng(model, ecfg);
-        const EngineRun run = eng.run(samples);
-        const std::string json = statsJson(run.merged);
-        if (digest.empty()) {
-            digest = json;
-            base = run.samples;
-        }
-        EXPECT_EQ(json, digest) << "sim_threads " << sim_threads;
-        ASSERT_EQ(run.samples.size(), base.size());
-        for (std::size_t i = 0; i < base.size(); ++i)
-            EXPECT_EQ(run.samples[i].counts, base[i].counts)
-                << "sim_threads " << sim_threads << " sample " << i;
-    }
-}
-
 TEST(Engine, ShardPlanCoversEverySampleOnce)
 {
     auto net = tinyNet(16, 8, 4, 2, 51);

@@ -409,8 +409,6 @@ TEST(ChipParity, StepLayerFastVsOracleFuzz)
         oracle.setPackedKernels(false);
         EXPECT_TRUE(fast.packedKernels());
         EXPECT_FALSE(oracle.packedKernels());
-        if (trial % 4 == 1)
-            fast.setSimThreads(8); // thread-count invariance too
         if (trial % 3 == 0) {
             const int slot = static_cast<int>(rng.below(
                 static_cast<std::uint64_t>(ccfg.n)));
@@ -435,6 +433,68 @@ TEST(ChipParity, StepLayerFastVsOracleFuzz)
         }
         expectStatsEq(fast.stats(), oracle.stats(), trial);
     }
+}
+
+TEST(ChipParity, ZeroWeightStepsLikePlusOne)
+{
+    // A zero weight is excitatory on the chip: the layer must step
+    // exactly like the same layer with that weight set to +1, in
+    // both kernels (the fast kernel reads the compiled sign rows,
+    // the oracle walks the weights).
+    snn::BinaryLayer zero;
+    zero.weights = {{-1, -1, -1, 1, 1, 0, 1, -1},
+                    {-1, -1, 1, -1, 1, 1, 0, 1},
+                    {-1, 0, -1, -1, 1, 1, 1, 1}};
+    zero.thresholds = {1, 2, 0};
+    snn::BinaryLayer plus = zero;
+    for (auto &row : plus.weights)
+        for (auto &w : row)
+            if (w == 0)
+                w = 1;
+    const auto zero_net = snn::BinarySnn::fromLayers({zero}, 1);
+    const auto plus_net = snn::BinarySnn::fromLayers({plus}, 1);
+
+    compiler::ChipConfig ccfg;
+    ccfg.n = 4;
+    ccfg.sc_per_npe = 3; // tiny counter: wraps and borrows
+    ccfg.bucketing.bucket_size = 4;
+    // Reordering keys on weight > 0; keep both schedules equal so
+    // only the chip's handling of the zero weight is under test.
+    ccfg.bucketing.reorder = false;
+    const auto zero_c = compiler::compileNetwork(zero_net, ccfg);
+    const auto plus_c = compiler::compileNetwork(plus_net, ccfg);
+    const auto &zl = zero_c.layers[0];
+    const auto &pl = plus_c.layers[0];
+    ASSERT_EQ(zl.schedule.order, pl.schedule.order);
+    ASSERT_EQ(zl.schedule.buckets.size(), pl.schedule.buckets.size());
+
+    chip::SushiChip zero_fast(ccfg), zero_oracle(ccfg),
+        plus_fast(ccfg), plus_oracle(ccfg);
+    zero_fast.setPackedKernels(true);
+    plus_fast.setPackedKernels(true);
+    zero_oracle.setPackedKernels(false);
+    plus_oracle.setPackedKernels(false);
+    Rng rng(4242);
+    for (int rep = 0; rep < 32; ++rep) {
+        chip::PulseVector act(8);
+        for (auto &v : act)
+            // Values > 1 exercise the multi-pulse extras.
+            v = static_cast<std::uint16_t>(rng.below(4));
+        const auto ref =
+            plus_oracle.stepLayer(pl, plus_net.layers()[0], act);
+        EXPECT_EQ(plus_fast.stepLayer(pl, plus_net.layers()[0], act),
+                  ref)
+            << "rep " << rep;
+        EXPECT_EQ(zero_fast.stepLayer(zl, zero_net.layers()[0], act),
+                  ref)
+            << "rep " << rep;
+        EXPECT_EQ(
+            zero_oracle.stepLayer(zl, zero_net.layers()[0], act), ref)
+            << "rep " << rep;
+    }
+    expectStatsEq(zero_fast.stats(), plus_oracle.stats(), 0);
+    expectStatsEq(zero_oracle.stats(), plus_oracle.stats(), 1);
+    expectStatsEq(plus_fast.stats(), plus_oracle.stats(), 2);
 }
 
 TEST(ChipParity, InferCountsFollowsGlobalToggle)
@@ -493,15 +553,16 @@ TEST(EngineParity, MergedStatsByteIdentical)
     const auto model = smallModel();
     const auto samples = randomSamples(24, 16, 3, 5);
 
-    auto runWith = [&](int packed_kernels) {
+    ToggleGuard guard;
+    auto runWith = [&](bool packed_on) {
+        snn::packed::setEnabled(packed_on);
         engine::EngineConfig cfg;
         cfg.replicas = 3;
-        cfg.packed_kernels = packed_kernels;
         engine::InferenceEngine eng(model, cfg);
         return eng.run(samples);
     };
-    const auto on = runWith(1);
-    const auto off = runWith(0);
+    const auto on = runWith(true);
+    const auto off = runWith(false);
 
     ASSERT_EQ(on.samples.size(), off.samples.size());
     for (std::size_t i = 0; i < on.samples.size(); ++i) {
@@ -519,10 +580,11 @@ TEST(ServeParity, VirtualReplayByteIdentical)
     const auto model = smallModel();
     const auto samples = randomSamples(20, 16, 3, 9);
 
-    auto replay = [&](int packed_kernels) {
+    ToggleGuard guard;
+    auto replay = [&](bool packed_on) {
+        snn::packed::setEnabled(packed_on);
         serve::ServerConfig cfg;
         cfg.engine.replicas = 2;
-        cfg.engine.packed_kernels = packed_kernels;
         cfg.max_batch = 4;
         cfg.max_delay_ns = 500;
         cfg.clock = serve::ClockMode::Virtual;
@@ -538,8 +600,8 @@ TEST(ServeParity, VirtualReplayByteIdentical)
         return std::make_pair(server.metrics().toJson(),
                               std::move(preds));
     };
-    const auto [json_on, preds_on] = replay(1);
-    const auto [json_off, preds_off] = replay(0);
+    const auto [json_on, preds_on] = replay(true);
+    const auto [json_off, preds_off] = replay(false);
     EXPECT_EQ(preds_on, preds_off);
     EXPECT_EQ(json_on, json_off);
 }
