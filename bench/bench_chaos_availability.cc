@@ -28,6 +28,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/stats.hh"
@@ -119,7 +120,8 @@ main()
     compiler::ChipConfig chip_cfg;
     chip_cfg.n = 16;
     chip_cfg.sc_per_npe = 10;
-    auto model = engine::ModelCache::shared().get(bin, chip_cfg);
+    auto model =
+        engine::CompiledModel::compile(std::move(bin), chip_cfg);
     const auto pool = engine::encodeSamples(data.images, t_steps, 99);
 
     // --- Calibrate ------------------------------------------------

@@ -21,6 +21,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/parallel.hh"
@@ -56,7 +57,8 @@ main()
     chip_cfg.sc_per_npe = 10;
 
     // Compiled once, shared by every replica of every engine below.
-    auto model = engine::ModelCache::shared().get(bin, chip_cfg);
+    auto model =
+        engine::CompiledModel::compile(std::move(bin), chip_cfg);
     const auto samples =
         engine::encodeSamples(data.images, t_steps, 99);
 

@@ -1,7 +1,6 @@
 #include "engine/compiled_model.hh"
 
 #include <bit>
-#include <iterator>
 
 #include "common/logging.hh"
 
@@ -80,14 +79,6 @@ CompiledModel::fingerprintOf(const snn::BinarySnn &net,
 }
 
 CompiledModel::CompiledModel(Key, snn::BinarySnn net,
-                             const compiler::ChipConfig &chip)
-    : net_(std::move(net)),
-      compiled_(compiler::compileNetwork(net_, chip)),
-      fingerprint_(fingerprintOf(net_, chip))
-{
-}
-
-CompiledModel::CompiledModel(Key, snn::BinarySnn net,
                              const compiler::ChipConfig &chip,
                              const compiler::DriverOptions &options)
     : net_(std::move(net)),
@@ -104,35 +95,19 @@ CompiledModel::compiled() const
     return stageNet(0);
 }
 
-const compiler::ChipConfig &
-CompiledModel::chip() const
-{
-    return plan_ ? plan_->chip : compiled_.chip;
-}
-
-int
-CompiledModel::stageCount() const
-{
-    return plan_ ? plan_->numChips() : 1;
-}
-
 const compiler::CompiledNetwork &
 CompiledModel::stageNet(int s) const
 {
-    if (plan_) {
-        sushi_assert(s >= 0 && s < plan_->numChips());
-        return plan_->stages[static_cast<std::size_t>(s)]->net;
-    }
-    sushi_assert(s == 0);
-    return compiled_;
+    sushi_assert(s >= 0 && s < stageCount());
+    return plan_.stages[static_cast<std::size_t>(s)]->net;
 }
 
 std::shared_ptr<const CompiledModel>
 CompiledModel::compile(snn::BinarySnn net,
                        const compiler::ChipConfig &chip)
 {
-    return std::make_shared<CompiledModel>(Key{}, std::move(net),
-                                           chip);
+    return compile(std::move(net), chip,
+                   compiler::DriverOptions::legacy());
 }
 
 std::shared_ptr<const CompiledModel>
@@ -142,149 +117,6 @@ CompiledModel::compile(snn::BinarySnn net,
 {
     return std::make_shared<CompiledModel>(Key{}, std::move(net),
                                            chip, options);
-}
-
-std::shared_ptr<const CompiledModel>
-ModelCache::get(const snn::BinarySnn &net,
-                const compiler::ChipConfig &chip)
-{
-    const std::uint64_t key = CompiledModel::fingerprintOf(net, chip);
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        auto it = map_.find(key);
-        if (it != map_.end()) {
-            ++hits_;
-            lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
-            return it->second.model;
-        }
-    }
-    // Compile outside the lock: misses on distinct models may
-    // proceed concurrently. A racing duplicate compile of the same
-    // model is wasted work, not an error — first insert wins.
-    auto model = CompiledModel::compile(net, chip);
-    std::lock_guard<std::mutex> lock(mu_);
-    ++misses_;
-    auto it = map_.find(key);
-    if (it != map_.end()) {
-        // A racer inserted while we compiled; keep its artifact.
-        lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
-        return it->second.model;
-    }
-    lru_.push_front(key);
-    map_.emplace(key, Entry{model, lru_.begin()});
-    // The walk may evict the entry we just inserted (when every
-    // older entry is pinned), so return the local handle rather
-    // than reading back through the map.
-    evictOverCapacityLocked();
-    return model;
-}
-
-void
-ModelCache::evictOverCapacityLocked()
-{
-    if (capacity_ == 0 || map_.size() <= capacity_)
-        return;
-    // Walk from least- to most-recently-used, skipping entries whose
-    // model is pinned by an in-flight replica batch. Skipped entries
-    // stay resident (the cache transiently exceeds capacity); the
-    // walk is retried on the next insert / setCapacity call.
-    std::size_t over = map_.size() - capacity_;
-    for (auto it = std::prev(lru_.end()); over > 0;) {
-        const bool at_front = it == lru_.begin();
-        const auto toward_front =
-            at_front ? lru_.end() : std::prev(it);
-        auto entry = map_.find(*it);
-        if (entry->second.model->pinCount() > 0) {
-            ++evictions_deferred_;
-        } else {
-            ++evictions_;
-            map_.erase(entry);
-            lru_.erase(it);
-            --over;
-        }
-        if (at_front)
-            break;
-        it = toward_front;
-    }
-}
-
-std::size_t
-ModelCache::size() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return map_.size();
-}
-
-std::uint64_t
-ModelCache::hits() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return hits_;
-}
-
-std::uint64_t
-ModelCache::misses() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return misses_;
-}
-
-std::uint64_t
-ModelCache::evictions() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return evictions_;
-}
-
-std::uint64_t
-ModelCache::evictionsDeferred() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return evictions_deferred_;
-}
-
-std::size_t
-ModelCache::pinned() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    std::size_t n = 0;
-    for (const auto &[key, entry] : map_)
-        n += entry.model->pinCount() > 0 ? 1 : 0;
-    return n;
-}
-
-std::size_t
-ModelCache::capacity() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return capacity_;
-}
-
-void
-ModelCache::setCapacity(std::size_t cap)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    capacity_ = cap;
-    evictOverCapacityLocked();
-}
-
-void
-ModelCache::clear()
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    map_.clear();
-    lru_.clear();
-    hits_ = 0;
-    misses_ = 0;
-    evictions_ = 0;
-    evictions_deferred_ = 0;
-}
-
-ModelCache &
-ModelCache::shared()
-{
-    static ModelCache cache;
-    return cache;
 }
 
 } // namespace sushi::engine

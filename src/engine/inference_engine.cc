@@ -69,12 +69,10 @@ InferenceEngine::InferenceEngine(
     // sequentially under the replica lock. Single-stage plans have
     // no cut traffic to route, so the toggle is ignored there.
     if (cfg_.noc.enabled && stages_ > 1) {
-        const compiler::MultiChipPlan *plan = model_->plan();
-        sushi_assert(plan != nullptr);
         noc_.reserve(static_cast<std::size_t>(replicas));
         for (int r = 0; r < replicas; ++r)
-            noc_.push_back(
-                std::make_unique<noc::NocTransport>(*plan, cfg_.noc));
+            noc_.push_back(std::make_unique<noc::NocTransport>(
+                *model_->plan(), cfg_.noc));
     }
 }
 
@@ -182,37 +180,20 @@ InferenceEngine::runOnReplica(int replica,
                               std::size_t count)
 {
     sushi_assert(replica >= 0 && replica < replicas());
-    // Pin the model against ModelCache eviction and hold the replica
-    // lock so degrade/heal mutations land on batch boundaries.
-    CompiledModel::Pin pin(model_.get());
+    // Hold the replica lock so degrade/heal mutations land on batch
+    // boundaries.
     std::lock_guard<std::mutex> lock(
         *chip_mu_[static_cast<std::size_t>(replica)]);
     ReplicaRun out;
     out.results.resize(count);
     out.per_sample.resize(count);
 
-    if (stages_ == 1) {
-        // Single-chip plan: the historical path, bit for bit.
-        chip::SushiChip &chip = chipAt(replica, 0);
-        const compiler::CompiledNetwork &net = model_->stageNet(0);
-        for (std::size_t i = 0; i < count; ++i) {
-            chip.resetStats();
-            SampleResult &res = out.results[i];
-            res.counts = chip.inferCounts(net, *samples[i]);
-            res.prediction = static_cast<int>(
-                std::max_element(res.counts.begin(),
-                                 res.counts.end()) -
-                res.counts.begin());
-            out.per_sample[i] = chip.stats();
-        }
-        return out;
-    }
-
-    // Multi-chip plan: the stage chips run the sample in lockstep,
-    // chained per time step through the inter-chip activation cut.
-    // The stats delta merges the stage chips' records per sample
-    // (frames/time_steps max, worst-chip utilisation, energy
-    // recomputed from the summed synaptic work).
+    // The stage chips run the sample in lockstep, chained per time
+    // step through the inter-chip activation cuts. With one stage
+    // this is exactly SushiChip::inferCounts. The stats delta merges
+    // the stage chips' records per sample (frames/time_steps max,
+    // worst-chip utilisation, energy recomputed from the summed
+    // synaptic work).
     const std::size_t out_dim =
         model_->network().layers().back().outDim();
     // NoC transport of this replica group (nullptr = ideal
@@ -283,7 +264,7 @@ InferenceEngine::runOnReplica(int replica,
         }
         delta.dynamic_energy_j =
             chip::dynamicEnergyJ(delta.synaptic_ops);
-        out.per_sample[i] = delta;
+        out.per_sample[i] = std::move(delta);
     }
     return out;
 }
@@ -308,7 +289,8 @@ InferenceEngine::run(const std::vector<Sample> &samples)
     EngineRun out;
     out.samples.resize(n);
     out.shard_of.assign(n, -1);
-    out.per_replica.assign(chips_.size(), chip::InferenceStats{});
+    out.per_replica.assign(static_cast<std::size_t>(replicas()),
+                           chip::InferenceStats{});
 
     // Active replica set: drain degraded replicas when asked to and
     // at least one healthy replica remains. (A fully degraded pool
@@ -327,7 +309,8 @@ InferenceEngine::run(const std::vector<Sample> &samples)
 
     // Shard plan: block round-robin over the active set, a pure
     // function of (n, active, shard_block).
-    std::vector<std::vector<std::size_t>> shards(chips_.size());
+    std::vector<std::vector<std::size_t>> shards(
+        static_cast<std::size_t>(replicas()));
     for (std::size_t i = 0; i < n; ++i) {
         const int owner = active[(i / cfg_.shard_block) %
                                  active.size()];

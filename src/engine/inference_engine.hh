@@ -61,10 +61,9 @@ struct EngineConfig
     bool drain_degraded = true;
 
     /** Modelled NoC transport for multi-chip plan cuts (noc.enabled;
-     *  off by default — the ideal zero-cost transport stays
-     *  bit-identical to the historical path). With it on, spike
-     *  results are still bit-identical to the ideal transport (the
-     *  fabric never touches the payload); only latency and the
+     *  off by default — the ideal zero-cost transport). With it on,
+     *  spike results are still bit-identical to the ideal transport
+     *  (the fabric never touches the payload); only latency and the
      *  noc_* counters in InferenceStats change. Ignored by
      *  single-stage plans. A host modelling knob, not part of the
      *  model fingerprint. */
@@ -145,10 +144,9 @@ struct EngineRun
  * The batched multi-chip inference service.
  *
  * Each *replica* is a group of stageCount() chips: one chip per
- * stage of the model's (multi-chip) plan, chained per time step
- * through the inter-chip activation cut. Legacy single-chip models
- * keep exactly one chip per replica and the historical execution
- * path, bit for bit.
+ * stage of the model's plan, chained per time step through the
+ * inter-chip activation cuts. A single-stage plan is a group of one
+ * chip, driven exactly as SushiChip::inferCounts drives it.
  */
 class InferenceEngine
 {

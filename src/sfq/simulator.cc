@@ -84,20 +84,6 @@ Simulator::reset()
     faults_.resetCounters();
 }
 
-void
-Simulator::setPulseDropRate(double rate, std::uint64_t seed)
-{
-    sushi_assert(rate >= 0.0 && rate <= 1.0);
-    faults_.clearFaults();
-    faults_.reseed(seed);
-    if (rate > 0.0) {
-        FaultSpec drop;
-        drop.kind = FaultKind::PulseDrop;
-        drop.rate = rate;
-        faults_.addFault(std::move(drop));
-    }
-}
-
 bool
 Simulator::reportViolation(const std::string &cell,
                            const std::string &what,

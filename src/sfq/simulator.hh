@@ -252,13 +252,6 @@ class Simulator
     FaultModel &faults() { return faults_; }
     const FaultModel &faults() const { return faults_; }
 
-    /**
-     * Shim over faults(): clear the configuration, reseed, and (for
-     * @p rate > 0) install a single untargeted PulseDrop fault.
-     * Prefer faults().addFault() for anything richer.
-     */
-    void setPulseDropRate(double rate, std::uint64_t seed = 1);
-
     /** Pulses lost to injected faults so far. */
     std::uint64_t droppedPulses() const
     {

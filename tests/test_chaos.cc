@@ -6,9 +6,9 @@
  * promotion / probe-and-readmit, retry budgets and
  * Reject::ReplicaFailure, hedged dispatch with first-wins
  * cancellation, the circuit-breaker state machine, injected NPE
- * degradation surfacing in ServerMetrics, ModelCache pinning,
- * engine health mutation under concurrency, real-clock chaos drain,
- * and the bursty / diurnal load-generator traces.
+ * degradation surfacing in ServerMetrics, engine health mutation
+ * under concurrency, real-clock chaos drain, and the bursty /
+ * diurnal load-generator traces.
  */
 
 #include <gtest/gtest.h>
@@ -426,41 +426,6 @@ TEST(ChaosNpe, InjectedDegradeSurfacesGaugeAndStaysCorrect)
     EXPECT_NE(m.toJson().find("\"failed_npes\": 1"),
               std::string::npos);
     EXPECT_EQ(server.engine().replicaAccount(0).failed_npes, 1u);
-}
-
-TEST(ModelCachePin, DefersEvictionOfPinnedEntries)
-{
-    compiler::ChipConfig chip;
-    chip.n = 8;
-    chip.sc_per_npe = 10;
-    const auto net_a = tinyNet(16, 8, 4, 3, 101);
-    const auto net_b = tinyNet(16, 8, 4, 3, 102);
-    const auto net_c = tinyNet(16, 8, 4, 3, 103);
-
-    engine::ModelCache cache;
-    cache.setCapacity(1);
-    auto a = cache.get(net_a, chip);
-    EXPECT_EQ(cache.size(), 1u);
-    {
-        engine::CompiledModel::Pin pin(a.get());
-        EXPECT_EQ(cache.pinned(), 1u);
-        // Inserting B overflows capacity, but the LRU victim (A) is
-        // pinned: the eviction is deferred and falls on B instead.
-        auto b = cache.get(net_b, chip);
-        ASSERT_NE(b, nullptr);
-        EXPECT_GE(cache.evictionsDeferred(), 1u);
-        EXPECT_EQ(cache.size(), 1u);
-        auto a2 = cache.get(net_a, chip); // still resident: a hit
-        EXPECT_EQ(a2.get(), a.get());
-    }
-    EXPECT_EQ(cache.pinned(), 0u);
-    // Unpinned, A is evictable again.
-    auto c = cache.get(net_c, chip);
-    EXPECT_EQ(cache.size(), 1u);
-    const std::uint64_t deferred = cache.evictionsDeferred();
-    auto a3 = cache.get(net_a, chip); // recompiled: a miss
-    EXPECT_NE(a3.get(), a.get());
-    EXPECT_EQ(cache.evictionsDeferred(), deferred);
 }
 
 TEST(EngineHealth, DegradeHealHammerKeepsResultsIdentical)

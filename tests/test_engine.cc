@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the batched multi-chip inference engine: compiled-model
- * cache behaviour, shard-plan determinism (byte-identical merged
+ * Tests for the batched multi-chip inference engine: the compiled-
+ * model artifact, shard-plan determinism (byte-identical merged
  * stats across thread counts), equivalence with single-chip
  * sequential inference, degraded-replica draining, and replica reuse
  * across batches.
@@ -74,73 +74,66 @@ TEST(CompiledModel, FingerprintSeparatesModelsAndChips)
               CompiledModel::fingerprintOf(a, chip_b));
 }
 
-TEST(ModelCache, CompilesOnceAndShares)
+TEST(CompiledModel, ArtifactPointsIntoItsOwnNetwork)
 {
-    ModelCache cache;
-    auto net = tinyNet(16, 8, 4, 3, 11);
-    const auto chip = smallChip();
-    auto first = cache.get(net, chip);
-    auto second = cache.get(net, chip);
-    EXPECT_EQ(first.get(), second.get()); // same artifact
-    EXPECT_EQ(cache.size(), 1u);
-    EXPECT_EQ(cache.misses(), 1u);
-    EXPECT_EQ(cache.hits(), 1u);
-
-    // A different chip geometry is a different artifact.
-    compiler::ChipConfig other = chip;
-    other.n = 4;
-    auto third = cache.get(net, other);
-    EXPECT_NE(first.get(), third.get());
-    EXPECT_EQ(cache.size(), 2u);
-}
-
-TEST(ModelCache, ArtifactPointsIntoItsOwnNetwork)
-{
-    ModelCache cache;
-    auto model = cache.get(tinyNet(10, 5, 3, 2, 21), smallChip());
-    // CompiledNetwork::net must reference the artifact's own copy,
-    // not the (destroyed) temporary it was compiled from.
-    EXPECT_EQ(model->compiled().net, &model->network());
+    auto model = CompiledModel::compile(tinyNet(10, 5, 3, 2, 21),
+                                        smallChip());
+    // CompiledNetwork::net must reference the plan's own copy of
+    // the layers, not the (destroyed) temporary it was compiled from.
+    EXPECT_EQ(model->compiled().net, &model->plan()->stages[0]->subnet);
     EXPECT_EQ(model->compiled().layers.size(),
               model->network().layers().size());
 }
 
-TEST(ModelCache, LruEvictionAndRefetchRecompiles)
+TEST(CompiledModel, LegacyCompileEqualsCompileNetwork)
 {
-    ModelCache cache;
-    EXPECT_EQ(cache.capacity(), ModelCache::kDefaultCapacity);
-    cache.setCapacity(2);
-    const auto chip = smallChip();
-    auto net_a = tinyNet(12, 6, 3, 2, 101);
-    auto net_b = tinyNet(12, 6, 3, 2, 102);
-    auto net_c = tinyNet(12, 6, 3, 2, 103);
-
-    auto a = cache.get(net_a, chip);
-    auto b = cache.get(net_b, chip);
-    auto a_again = cache.get(net_a, chip); // hit: A becomes MRU
-    EXPECT_EQ(a.get(), a_again.get());
-
-    // Inserting C evicts the LRU artifact — B, not A.
-    auto c = cache.get(net_c, chip);
-    EXPECT_EQ(cache.size(), 2u);
-    EXPECT_EQ(cache.evictions(), 1u);
-    EXPECT_EQ(cache.get(net_a, chip).get(), a.get()); // still cached
-
-    // Eviction dropped only the cache's reference: our handle to B
-    // stays valid, but refetching recompiles a fresh artifact.
-    EXPECT_EQ(b->compiled().net, &b->network());
-    auto b_refetched = cache.get(net_b, chip);
-    EXPECT_NE(b_refetched.get(), b.get());
-    EXPECT_EQ(b_refetched->fingerprint(), b->fingerprint());
-    EXPECT_EQ(cache.evictions(), 2u); // refetching B evicted C
-    EXPECT_EQ(cache.hits(), 2u);
-    EXPECT_EQ(cache.misses(), 4u); // A, B, C, B-again
-
-    // Shrinking the bound evicts down immediately, keeping the MRU.
-    cache.setCapacity(1);
-    EXPECT_EQ(cache.size(), 1u);
-    EXPECT_EQ(cache.get(net_b, chip).get(), b_refetched.get());
-    EXPECT_EQ(cache.capacity(), 1u);
+    // The one-stage plan the legacy preset builds must be the
+    // historical single-chip compile, field by field. The tight chip
+    // forces the bucketed fallback on some layers.
+    compiler::ChipConfig tight;
+    tight.n = 4;
+    tight.sc_per_npe = 6;
+    for (const auto &chip : {smallChip(), tight}) {
+        const auto net = tinyNet(40, 20, 6, 2, 31);
+        const auto model = CompiledModel::compile(net, chip);
+        ASSERT_EQ(model->stageCount(), 1);
+        const compiler::CompiledNetwork &a = model->compiled();
+        const compiler::CompiledNetwork b =
+            compiler::compileNetwork(net, chip);
+        EXPECT_EQ(a.chip.n, b.chip.n);
+        EXPECT_EQ(a.chip.sc_per_npe, b.chip.sc_per_npe);
+        ASSERT_EQ(a.layers.size(), b.layers.size());
+        for (std::size_t l = 0; l < a.layers.size(); ++l) {
+            const auto &la = a.layers[l];
+            const auto &lb = b.layers[l];
+            EXPECT_EQ(la.schedule.order, lb.schedule.order);
+            ASSERT_EQ(la.schedule.buckets.size(),
+                      lb.schedule.buckets.size());
+            for (std::size_t k = 0; k < la.schedule.buckets.size();
+                 ++k) {
+                EXPECT_EQ(la.schedule.buckets[k].begin,
+                          lb.schedule.buckets[k].begin);
+                EXPECT_EQ(la.schedule.buckets[k].end,
+                          lb.schedule.buckets[k].end);
+            }
+            EXPECT_EQ(la.range.required_states,
+                      lb.range.required_states);
+            EXPECT_EQ(la.signs, lb.signs);
+            EXPECT_EQ(la.preload, lb.preload);
+            EXPECT_EQ(la.bias_pulses, lb.bias_pulses);
+            EXPECT_EQ(la.disabled, lb.disabled);
+            EXPECT_EQ(la.switch_reloads, lb.switch_reloads);
+        }
+        EXPECT_EQ(a.budget.budget.jj_cap, b.budget.budget.jj_cap);
+        EXPECT_EQ(a.budget.fabric_jjs, b.budget.fabric_jjs);
+        EXPECT_EQ(a.budget.model_jjs, b.budget.model_jjs);
+        EXPECT_EQ(a.budget.fabric_area_mm2, b.budget.fabric_area_mm2);
+        EXPECT_EQ(a.budget.model_area_mm2, b.budget.model_area_mm2);
+        EXPECT_EQ(a.budget.synapses, b.budget.synapses);
+        EXPECT_EQ(a.budget.required_states, b.budget.required_states);
+        EXPECT_EQ(a.disabled_count, b.disabled_count);
+        EXPECT_EQ(a.plan_reloads, b.plan_reloads);
+    }
 }
 
 TEST(Engine, MatchesSingleChipSequential)

@@ -209,6 +209,32 @@ TEST(MultiChipPlan, MergedStatsDeterministicAcrossThreads)
     }
 }
 
+TEST(MultiChipPlan, PerReplicaTotalsIndexedByReplicaGroup)
+{
+    auto net = tinyNet(24, 16, 12, 3, 13);
+    const auto chip = smallChip();
+    auto model = CompiledModel::compile(net, chip,
+                                        splittingOptions(net, chip));
+    ASSERT_EQ(model->stageCount(), 2);
+    auto samples = randomSamples(10, 24, 3, 31);
+
+    EngineConfig cfg;
+    cfg.replicas = 3;
+    cfg.shard_block = 2;
+    InferenceEngine eng(model, cfg);
+    EngineRun run = eng.run(samples);
+    // One entry per replica group, not per chip; every group got a
+    // shard, and the totals cover every sample once.
+    ASSERT_EQ(run.per_replica.size(),
+              static_cast<std::size_t>(eng.replicas()));
+    std::uint64_t frames = 0;
+    for (const auto &st : run.per_replica) {
+        EXPECT_GT(st.frames, 0u);
+        frames += st.frames;
+    }
+    EXPECT_EQ(frames, samples.size());
+}
+
 TEST(MultiChipPlan, StatsSurfaceCompilerDiagnostics)
 {
     auto net = tinyNet(24, 16, 12, 3, 9);

@@ -260,7 +260,14 @@ TEST(Property, FaultInjectionDropsPulsesDeterministically)
     auto run = [](double rate, std::uint64_t seed) {
         sfq::Simulator sim;
         sim.setViolationPolicy(sfq::ViolationPolicy::Ignore);
-        sim.setPulseDropRate(rate, seed);
+        sim.faults().clearFaults();
+        sim.faults().reseed(seed);
+        if (rate > 0.0) {
+            sfq::FaultSpec drop;
+            drop.kind = sfq::FaultKind::PulseDrop;
+            drop.rate = rate;
+            sim.faults().addFault(drop);
+        }
         sfq::Netlist net(sim);
         npe::NpeGate npe(net, "npe", 4);
         const Tick gap = sfq::safePulseSpacing();
@@ -347,7 +354,11 @@ TEST(Property, FaultInjectionBreaksCosimEquivalence)
     // performs on fabricated parts.
     sfq::Simulator sim;
     sim.setViolationPolicy(sfq::ViolationPolicy::Ignore);
-    sim.setPulseDropRate(0.3, 3);
+    sim.faults().reseed(3);
+    sfq::FaultSpec drop;
+    drop.kind = sfq::FaultKind::PulseDrop;
+    drop.rate = 0.3;
+    sim.faults().addFault(drop);
     sfq::Netlist net(sim);
     npe::NpeGate gate(net, "npe", 5);
     npe::Npe ref(5);
