@@ -13,55 +13,156 @@ namespace sushi::chip {
 
 namespace {
 
-/** Popcount of (act & mask) over scheduled positions [begin, end). */
-std::uint64_t
-popcountRange(const std::uint64_t *act, const std::uint64_t *mask,
-              int begin, int end)
-{
-    std::uint64_t count = 0;
-    const int w0 = begin / 64;
-    const int w1 = (end + 63) / 64;
-    for (int w = w0; w < w1; ++w) {
-        std::uint64_t bits = act[w] & mask[w];
-        if (w == w0 && begin % 64)
-            bits &= ~std::uint64_t{0} << (begin % 64);
-        if (w == w1 - 1 && end % 64)
-            bits &= ~std::uint64_t{0} >> (64 - end % 64);
-        count += static_cast<std::uint64_t>(std::popcount(bits));
-    }
-    return count;
-}
+// The neuron loop is built twice from one source: with the POPCNT
+// instruction and without. The loader binds the right clone once per
+// process; a bare build has no hardware popcount, so std::popcount
+// would otherwise be a library call per word. ThreadSanitizer builds
+// keep one plain copy: the clone resolver runs before the TSan
+// runtime is up and crashes the process at load.
+#if defined(__SANITIZE_THREAD__)
+#define SUSHI_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define SUSHI_TSAN 1
+#endif
+#endif
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__)) && \
+    !defined(SUSHI_TSAN)
+#define SUSHI_POPCNT_CLONES \
+    __attribute__((target_clones("popcnt", "default")))
+#else
+#define SUSHI_POPCNT_CLONES
+#endif
+
+/** Multi-pulse inputs: (scheduled position, pulses beyond the first). */
+using Extras = std::vector<std::pair<int, std::uint64_t>>;
 
 /**
- * Closed-form NPE counter: the exact recurrence Npe::addPulses
- * implements (carry per wrap past 2^K counting up, borrow per wrap
- * below zero counting down) without the per-SC bit materialisation.
- * Any divergence from the Npe object is a bug the packed-vs-oracle
- * fuzzer catches.
+ * Scatter @p act (original input order) into @p bits over scheduled
+ * positions, 64 inputs at a time; list the multi-pulse inputs in
+ * @p extras, in scheduled order, when any exist.
  */
-struct FastCounter
+void
+packActivations(const compiler::CompiledLayer &layer,
+                const PulseVector &act, std::vector<std::uint64_t> &bits,
+                Extras &extras)
 {
-    std::uint64_t v;      ///< counter value
-    std::uint64_t states; ///< 2^K
-
-    std::uint64_t addUp(std::uint64_t count)
-    {
-        const std::uint64_t spikes = (v + count) / states;
-        v = (v + count) % states;
-        return spikes;
-    }
-
-    std::uint64_t addDown(std::uint64_t count)
-    {
-        if (count <= v) {
-            v -= count;
-            return 0;
+    const std::size_t in_dim = act.size();
+    const int *position = layer.position.data();
+    bits.assign(layer.signWords(), 0);
+    std::uint16_t any = 0;
+    for (std::size_t base = 0; base < in_dim; base += 64) {
+        const std::size_t lanes = std::min<std::size_t>(64, in_dim - base);
+        std::uint64_t live = 0;
+        for (std::size_t j = 0; j < lanes; ++j) {
+            live |= std::uint64_t{act[base + j] != 0} << j;
+            any |= act[base + j];
         }
-        const std::uint64_t borrows = (count - v + states - 1) / states;
-        v = (v + borrows * states - count) % states;
-        return borrows;
+        for (; live != 0; live &= live - 1) {
+            const int k = position[base + static_cast<std::size_t>(
+                                              std::countr_zero(live))];
+            bits[static_cast<std::size_t>(k >> 6)] |= std::uint64_t{1}
+                                                      << (k & 63);
+        }
     }
+    extras.clear();
+    if (any > 1) {
+        const int *order = layer.schedule.order.data();
+        for (std::size_t k = 0; k < in_dim; ++k) {
+            const std::uint16_t v =
+                act[static_cast<std::size_t>(order[k])];
+            if (v > 1)
+                extras.emplace_back(static_cast<int>(k), v - 1);
+        }
+    }
+}
+
+/** Popcount of a & s over one bucket's word span. */
+inline std::uint64_t
+spanCount(const std::uint64_t *a, const std::uint64_t *s,
+          const compiler::BucketSpan &span)
+{
+    std::uint64_t n = static_cast<std::uint64_t>(
+        std::popcount(a[span.first_word] & s[span.first_word] &
+                      span.head_mask) +
+        std::popcount(a[span.last_word] & s[span.last_word] &
+                      span.tail_mask));
+    for (std::uint32_t w = span.first_word + 1; w < span.last_word; ++w)
+        n += static_cast<std::uint64_t>(std::popcount(a[w] & s[w]));
+    return n;
+}
+
+/** Tallies of one fast-kernel layer step. */
+struct LayerCounts
+{
+    std::uint64_t active_inputs = 0;
+    std::uint64_t syn_ops = 0;
+    std::uint64_t underflow = 0;
+    std::uint64_t multi = 0;
 };
+
+/**
+ * The fast kernel's counting: per-bucket input pulses, then every
+ * enabled neuron against its sign row. The K-SC counter is tracked
+ * as an unbounded membrane w whose value is w mod 2^K: each
+ * inhibitory pass borrows once per multiple of 2^K that w crosses
+ * downwards, each excitatory pass carries once per multiple crossed
+ * upwards. Since preload < 2^K, q = floor(w / 2^K) starts at the
+ * bias carries, and the carries total q_end - q_start + borrows.
+ */
+SUSHI_POPCNT_CLONES LayerCounts
+countLayer(const compiler::CompiledLayer &layer, const std::uint64_t *act,
+           std::uint64_t *bucket_pulses, const Extras &extras, int k_bits,
+           std::uint16_t *out)
+{
+    LayerCounts c;
+    const compiler::BucketSpan *spans = layer.bucket_spans.data();
+    const compiler::Block *buckets = layer.schedule.buckets.data();
+    const std::size_t n_buckets = layer.bucket_spans.size();
+    const std::size_t n_extras = extras.size();
+
+    std::uint64_t pulses = 0;
+    for (std::size_t b = 0, e = 0; b < n_buckets; ++b) {
+        bucket_pulses[b] = spanCount(act, act, spans[b]);
+        c.active_inputs += bucket_pulses[b];
+        for (; e < n_extras && extras[e].first < buckets[b].end; ++e)
+            bucket_pulses[b] += extras[e].second;
+        pulses += bucket_pulses[b];
+    }
+
+    const std::size_t out_dim = layer.disabled.size();
+    for (std::size_t o = 0; o < out_dim; ++o) {
+        if (layer.disabled[o])
+            continue;
+        const std::uint64_t *sign = layer.signRow(o);
+        std::int64_t w = static_cast<std::int64_t>(layer.preload[o]) +
+                         layer.bias_pulses[o];
+        std::int64_t q = w >> k_bits;
+        std::int64_t borrows = 0;
+        for (std::size_t b = 0, e = 0; b < n_buckets; ++b) {
+            auto pos =
+                static_cast<std::int64_t>(spanCount(act, sign, spans[b]));
+            for (; e < n_extras && extras[e].first < buckets[b].end;
+                 ++e) {
+                const int k = extras[e].first;
+                pos += static_cast<std::int64_t>(
+                    ((sign[k >> 6] >> (k & 63)) & 1) * extras[e].second);
+            }
+            // Inhibitory pass first within every bucket (Sec. 5.1).
+            w -= static_cast<std::int64_t>(bucket_pulses[b]) - pos;
+            const std::int64_t q_low = w >> k_bits;
+            borrows += q - q_low;
+            w += pos;
+            q = w >> k_bits;
+        }
+        const auto spikes = static_cast<std::uint64_t>(q + 2 * borrows);
+        c.syn_ops += pulses;
+        c.underflow += static_cast<std::uint64_t>(borrows);
+        c.multi += spikes > 1;
+        out[o] = static_cast<std::uint16_t>(spikes);
+    }
+    return c;
+}
 
 /** Element-wise sum of per-cut flit counters (ragged-safe). */
 void
@@ -164,7 +265,8 @@ dynamicEnergyJ(std::uint64_t synaptic_ops)
 SushiChip::SushiChip(const compiler::ChipConfig &cfg)
     : cfg_(cfg),
       failed_npes_(static_cast<std::size_t>(cfg.n), 0),
-      remap_(compiler::planNpeRemap(cfg.n, failed_npes_))
+      remap_(compiler::planNpeRemap(cfg.n, failed_npes_)),
+      pulse_ps_(fabric::pulseTimePs(fabric::scalingMeshConfig(cfg.n)))
 {
     sushi_assert(cfg.n >= 1);
 }
@@ -209,89 +311,47 @@ SushiChip::stepLayer(const compiler::CompiledLayer &layer,
     const std::size_t in_dim = blayer.inDim();
     const std::size_t out_dim = blayer.outDim();
     sushi_assert(act.size() == in_dim);
-
-    // Activation bitset over scheduled positions, plus the (rare)
-    // multi-pulse entries from upstream wrap artefacts.
-    std::vector<std::uint64_t> act_bits(snn::packed::laneWords(in_dim),
-                                        0);
-    std::vector<std::pair<int, std::uint64_t>> extras; // (pos, extra)
-    std::uint64_t active_inputs = 0;
-    for (std::size_t k = 0; k < in_dim; ++k) {
-        const auto idx = static_cast<std::size_t>(
-            layer.schedule.order[k]);
-        if (act[idx] > 0) {
-            act_bits[k / 64] |= std::uint64_t{1} << (k % 64);
-            ++active_inputs;
-            if (act[idx] > 1)
-                extras.emplace_back(static_cast<int>(k),
-                                    std::uint64_t{act[idx]} - 1);
-        }
-    }
-
-    // Input pulses per bucket, shared by every neuron: a bucket's
-    // inhibitory count is these minus its excitatory count.
-    const auto &buckets = layer.schedule.buckets;
-    std::vector<std::uint64_t> bucket_pulses(buckets.size());
-    for (std::size_t b = 0; b < buckets.size(); ++b) {
-        bucket_pulses[b] = popcountRange(act_bits.data(),
-                                         act_bits.data(),
-                                         buckets[b].begin,
-                                         buckets[b].end);
-        for (const auto &[k, extra] : extras)
-            if (k >= buckets[b].begin && k < buckets[b].end)
-                bucket_pulses[b] += extra;
-    }
+    sushi_assert(layer.slices.width == cfg_.n);
 
     PulseVector out(out_dim, 0);
     const bool degraded = remap_.failed > 0;
-    const bool fast_kernel = packedKernels();
-    const std::uint64_t states = std::uint64_t{1}
-                                 << static_cast<unsigned>(
-                                        cfg_.sc_per_npe);
     std::uint64_t remapped = 0, underflow = 0, syn_ops = 0, multi = 0;
+    std::uint64_t active_inputs = 0;
 
-    for (std::size_t o = 0; o < out_dim; ++o) {
-        if (layer.disabled[o])
-            continue;
-        // Degraded mode: the neuron's home slot is o mod N; if that
-        // NPE failed, a healthy host NPE serves it in an extra pass.
-        // The counter arithmetic is slot-independent, so results stay
-        // bit-identical — only time/reload accounting changes.
-        if (degraded &&
-            failed_npes_[o % static_cast<std::size_t>(cfg_.n)])
-            ++remapped;
+    // Degraded mode: the neuron's home slot is o mod N; if that NPE
+    // failed, a healthy host NPE serves it in an extra pass. The
+    // counter arithmetic is slot-independent, so results stay
+    // bit-identical — only time/reload accounting changes.
+    if (degraded) {
+        const auto n = static_cast<std::size_t>(cfg_.n);
+        for (std::size_t slot = 0; slot < n; ++slot)
+            if (failed_npes_[slot])
+                for (std::size_t o = slot; o < out_dim; o += n)
+                    remapped += layer.disabled[o] ? 0 : 1;
+    }
 
-        std::uint64_t spikes = 0;
-        if (fast_kernel) {
-            // Closed-form counter, no Npe object per neuron-step;
-            // one popcount per bucket against the sign row.
-            const std::uint64_t *sign = layer.signRow(o);
-            FastCounter npe{layer.preload[o], states};
-            spikes = npe.addUp(
-                static_cast<std::uint64_t>(layer.bias_pulses[o]));
-            for (std::size_t b = 0; b < buckets.size(); ++b) {
-                const compiler::Block &bucket = buckets[b];
-                std::uint64_t pos = popcountRange(
-                    act_bits.data(), sign, bucket.begin, bucket.end);
-                for (const auto &[k, extra] : extras)
-                    if (k >= bucket.begin && k < bucket.end &&
-                        ((sign[k / 64] >> (k % 64)) & 1))
-                        pos += extra;
-                const std::uint64_t neg = bucket_pulses[b] - pos;
-                // Inhibitory pass first within every bucket
-                // (Sec. 5.1).
-                if (neg) {
-                    const std::uint64_t borrows = npe.addDown(neg);
-                    underflow += borrows;
-                    spikes += borrows;
-                }
-                if (pos)
-                    spikes += npe.addUp(pos);
-                syn_ops += bucket_pulses[b];
-            }
-        } else {
+    if (packedKernels()) {
+        // Pack the activations once, then one popcount per (neuron,
+        // bucket) against the sign row and crossing-count counter
+        // arithmetic, with no Npe object per neuron-step.
+        packActivations(layer, act, act_bits_, extras_);
+        bucket_pulses_.resize(layer.bucket_spans.size());
+        const LayerCounts c =
+            countLayer(layer, act_bits_.data(), bucket_pulses_.data(),
+                       extras_, cfg_.sc_per_npe, out.data());
+        active_inputs = c.active_inputs;
+        syn_ops = c.syn_ops;
+        underflow = c.underflow;
+        multi = c.multi;
+    } else {
+        const auto &buckets = layer.schedule.buckets;
+        for (const auto pulses : act)
+            active_inputs += pulses > 0 ? 1 : 0;
+        for (std::size_t o = 0; o < out_dim; ++o) {
+            if (layer.disabled[o])
+                continue;
             // The Npe oracle: a scalar walk of the schedule over the
-            // weights, independent of the sign rows above. A fresh
+            // weights, independent of the fast path's sign rows. A fresh
             // counter per neuron-step is behaviourally identical to
             // the time-multiplexed physical NPE (rst + write).
             const auto &w = blayer.weights[o];
@@ -300,7 +360,7 @@ SushiChip::stepLayer(const compiler::CompiledLayer &layer,
             npe.rst();
             npe.write(layer.preload[o]);
             npe.setPolarity(npe::Polarity::Excitatory);
-            spikes = npe.addPulses(
+            std::uint64_t spikes = npe.addPulses(
                 static_cast<std::uint64_t>(layer.bias_pulses[o]));
             for (const compiler::Block &bucket : buckets) {
                 std::uint64_t neg = 0, pos = 0;
@@ -322,10 +382,10 @@ SushiChip::stepLayer(const compiler::CompiledLayer &layer,
                 }
                 syn_ops += neg + pos;
             }
+            if (spikes > 1)
+                ++multi;
+            out[o] = static_cast<std::uint16_t>(spikes);
         }
-        if (spikes > 1)
-            ++multi;
-        out[o] = static_cast<std::uint16_t>(spikes);
     }
     stats_.remapped_neurons += remapped;
     stats_.underflow_spikes += underflow;
@@ -336,23 +396,12 @@ SushiChip::stepLayer(const compiler::CompiledLayer &layer,
     // Reload + timing accounting for this layer-step.
     stats_.reload_events +=
         static_cast<std::uint64_t>(layer.switch_reloads);
-    fabric::MeshConfig mesh = fabric::scalingMeshConfig(cfg_.n);
-    const double pulse_ps = fabric::pulseTimePs(mesh);
     // Synapses process in parallel across the mesh: the serialised
     // work per step is the per-output-group pulse traffic.
     const double serial_pulses =
         static_cast<double>(active_inputs) *
         static_cast<double>(layer.slices.numOutBlocks());
-    // Weight reloading is parallel per synapse (Sec. 4.2.2): the
-    // serialised cost is one configuration batch per block
-    // transition whose crosspoints actually change — reordering
-    // makes many transitions configuration-free.
-    const double blocks =
-        static_cast<double>(layer.slices.totalBlocks());
-    const double change_fraction = std::min(
-        1.0, static_cast<double>(layer.switch_reloads) /
-                 (blocks * static_cast<double>(cfg_.n) * cfg_.n));
-    double reload_ps = blocks * change_fraction * 250.0;
+    double reload_ps = layer.reload_ps;
     double degraded_pulses = 0.0;
     if (degraded) {
         // Each output group runs extra_passes more times to serve the
@@ -368,19 +417,19 @@ SushiChip::stepLayer(const compiler::CompiledLayer &layer,
         degraded_pulses =
             static_cast<double>(active_inputs) *
             static_cast<double>(extra_group_passes);
-        reload_ps += blocks *
+        reload_ps += static_cast<double>(layer.slices.totalBlocks()) *
                      static_cast<double>(remap_.extra_passes) * 250.0;
         stats_.reload_events += extra_group_passes;
     }
     stats_.reload_time_ps += reload_ps;
     stats_.est_time_ps +=
-        (serial_pulses + degraded_pulses) * pulse_ps + reload_ps;
+        (serial_pulses + degraded_pulses) * pulse_ps_ + reload_ps;
     return out;
 }
 
 PulseVector
 SushiChip::stepNetwork(const compiler::CompiledNetwork &net,
-                       const PulseVector &input)
+                       PulseVector act)
 {
     sushi_assert(net.net != nullptr);
     sushi_assert(net.layers.size() == net.net->layers().size());
@@ -397,7 +446,6 @@ SushiChip::stepNetwork(const compiler::CompiledNetwork &net,
                                      net.budget.jjUtilisation());
     stats_.area_utilisation = std::max(
         stats_.area_utilisation, net.budget.areaUtilisation());
-    PulseVector act = input;
     for (std::size_t l = 0; l < net.layers.size(); ++l)
         act = stepLayer(net.layers[l], net.net->layers()[l], act);
     return act;

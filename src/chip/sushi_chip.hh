@@ -16,6 +16,7 @@
 #define SUSHI_CHIP_SUSHI_CHIP_HH
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "compiler/compile.hh"
@@ -130,7 +131,7 @@ class SushiChip
 
     /**
      * Execute one layer for one time step.
-     * @param layer    compiled layer
+     * @param layer    compiled layer (for this chip's mesh width n)
      * @param blayer   the binarized weights it was compiled from
      * @param act      input pulse counts (original index space)
      * @return output pulse counts per neuron (0, 1, or more — extra
@@ -165,10 +166,11 @@ class SushiChip
     /**
      * Run every layer of @p net for one time step: the full chip
      * pass of one stage. Also refreshes the compile-plan gauges in
-     * stats() from the network's budget report.
+     * stats() from the network's budget report. @p act is taken by
+     * value: move the frame in to step it without a copy.
      */
     PulseVector stepNetwork(const compiler::CompiledNetwork &net,
-                            const PulseVector &act);
+                            PulseVector act);
 
     /** Account final-layer output pulses. */
     void countOutputSpikes(const PulseVector &act);
@@ -190,19 +192,26 @@ class SushiChip
     void resetStats();
 
     /// @name Packed-kernel selection.
-    /// The fast path counts each (neuron, bucket) pair's excitatory
-    /// pulses with one popcount against the compiled sign row
-    /// (CompiledLayer::signRow; inhibitory = the bucket's input
-    /// pulses minus that) and evaluates the neuron-step with
-    /// closed-form counter arithmetic (the exact recurrence
-    /// Npe::addPulses implements). The oracle counts both classes
-    /// with a scalar walk of the schedule over the binarized weights
-    /// and drives an Npe object, so it shares neither the sign rows
-    /// nor the counter arithmetic. Pulse outputs and every
-    /// InferenceStats counter are bit-identical either way;
-    /// tests/test_packed_snn.cc fuzzes the equivalence. A chip
-    /// follows the process-wide snn::packed toggle (SUSHI_PACKED)
-    /// until setPackedKernels pins it.
+    /// The fast path packs the step's activations once into a
+    /// bitset over scheduled positions, scattering each active input
+    /// to CompiledLayer::position. It then counts each (neuron,
+    /// bucket) pair's excitatory pulses with one popcount over the
+    /// bucket's word span against the compiled sign row
+    /// (CompiledLayer::signRow, bucket_spans; inhibitory = the
+    /// bucket's input pulses minus that). The K-SC counter is
+    /// evaluated as an unbounded membrane w: it emits one spike each
+    /// time w crosses a multiple of 2^K, upwards (carry) or downwards
+    /// (borrow), so each pass costs a shift and a subtraction (the
+    /// exact recurrence Npe::addPulses implements, because preloads
+    /// are below 2^K). The neuron loop is one function cloned for a
+    /// hardware popcount on x86-64 and dispatched once per layer
+    /// step. The oracle counts both classes with a scalar walk of the
+    /// schedule over the binarized weights and drives an Npe object,
+    /// so it shares neither the sign rows nor the counter
+    /// arithmetic. Pulse outputs and every InferenceStats counter are
+    /// bit-identical either way; tests/test_packed_snn.cc fuzzes the
+    /// equivalence. A chip follows the process-wide snn::packed
+    /// toggle (SUSHI_PACKED) until setPackedKernels pins it.
     /// @{
 
     /** Force the fast (true) or oracle (false) kernel on this chip. */
@@ -255,6 +264,16 @@ class SushiChip
     std::vector<std::uint8_t> failed_npes_;
     compiler::NpeRemap remap_;
     int kernel_override_ = -1; ///< -1 follow global, else 0/1
+    double pulse_ps_; ///< modelled time per streamed pulse
+
+    /// @name Fast-kernel scratch, reused across layer steps (a chip
+    /// is driven by one thread at a time: its replica's lock holder).
+    /// @{
+    std::vector<std::uint64_t> act_bits_;      ///< scheduled bitset
+    std::vector<std::uint64_t> bucket_pulses_; ///< input pulses
+    /// Multi-pulse inputs in scheduled order: (position, pulses - 1).
+    std::vector<std::pair<int, std::uint64_t>> extras_;
+    /// @}
 };
 
 } // namespace sushi::chip

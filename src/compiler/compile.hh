@@ -30,6 +30,22 @@ struct ChipConfig
     BucketingConfig bucketing;
 };
 
+/**
+ * The words of a scheduled bitset (a sign row or the chip's packed
+ * activations) that one bucket covers. The chip counts a bucket as
+ * popcount(w[first] & head_mask) + the full words strictly between
+ * + popcount(w[last] & tail_mask). A bucket inside one word has
+ * first == last, the whole range in head_mask and a zero tail_mask,
+ * so the same sum holds without a boundary test.
+ */
+struct BucketSpan
+{
+    std::uint32_t first_word;
+    std::uint32_t last_word;
+    std::uint64_t head_mask;
+    std::uint64_t tail_mask;
+};
+
 /** One compiled layer. */
 struct CompiledLayer
 {
@@ -37,6 +53,9 @@ struct CompiledLayer
     LayerSchedule schedule;
     StateRangeReport range;
     long switch_reloads; ///< cross-structure reload events per step
+    /** Modelled configuration-reload time per step on a healthy
+     *  chip of the compile geometry (ps). */
+    double reload_ps = 0.0;
 
     /**
      * Per-output-neuron counter preload: 2^K - theta', where theta'
@@ -62,6 +81,13 @@ struct CompiledLayer
      * count as its active inputs minus the excitatory popcount.
      */
     std::vector<std::uint64_t> signs;
+
+    /** Inverse of schedule.order: input i sits at scheduled bit
+     *  position[i]. The chip scatters its activations through it
+     *  while scanning them in original order. */
+    std::vector<int> position;
+    /** Word span of each schedule.buckets entry, same index. */
+    std::vector<BucketSpan> bucket_spans;
 
     /** Words per sign row. */
     std::size_t signWords() const

@@ -78,8 +78,8 @@ evaluateCandidate(const snn::BinaryLayer &layer,
     return c;
 }
 
-/** Place pass: preloads, bias pulses and sign rows over the
- *  chosen schedule. */
+/** Place pass: preloads, bias pulses, sign rows and the chip's
+ *  step-time invariants over the chosen schedule. */
 void
 placeLayer(const snn::BinaryLayer &layer, const ChipConfig &chip,
            CompiledLayer &out)
@@ -114,6 +114,33 @@ placeLayer(const snn::BinaryLayer &layer, const ChipConfig &chip,
             if (w[static_cast<std::size_t>(out.schedule.order[k])] >= 0)
                 row[k / 64] |= std::uint64_t{1} << (k % 64);
         }
+    }
+
+    // Weight reloading is parallel per synapse (Sec. 4.2.2): the
+    // serialised cost is one configuration batch per block
+    // transition whose crosspoints actually change — reordering
+    // makes many transitions configuration-free.
+    const double blocks = static_cast<double>(out.slices.totalBlocks());
+    const double change_fraction = std::min(
+        1.0, static_cast<double>(out.switch_reloads) /
+                 (blocks * static_cast<double>(chip.n) * chip.n));
+    out.reload_ps = blocks * change_fraction * 250.0;
+
+    // Step-time invariants of the chip's packed kernel.
+    out.position.assign(layer.inDim(), 0);
+    for (std::size_t k = 0; k < layer.inDim(); ++k)
+        out.position[static_cast<std::size_t>(out.schedule.order[k])] =
+            static_cast<int>(k);
+    out.bucket_spans.clear();
+    for (const Block &b : out.schedule.buckets) {
+        const auto first = static_cast<std::uint32_t>(b.begin / 64);
+        const auto last = static_cast<std::uint32_t>((b.end - 1) / 64);
+        const std::uint64_t head = ~std::uint64_t{0} << (b.begin % 64);
+        const std::uint64_t tail =
+            ~std::uint64_t{0} >> (63 - (b.end - 1) % 64);
+        out.bucket_spans.push_back(
+            first == last ? BucketSpan{first, last, head & tail, 0}
+                          : BucketSpan{first, last, head, tail});
     }
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <utility>
 
 #include "common/logging.hh"
 #include "common/parallel.hh"
@@ -219,7 +220,8 @@ InferenceEngine::runOnReplica(int replica,
             }
             for (int s = 0; s < stages_; ++s) {
                 act = chipAt(replica, s)
-                          .stepNetwork(model_->stageNet(s), act);
+                          .stepNetwork(model_->stageNet(s),
+                                       std::move(act));
                 if (nt != nullptr && s < stages_ - 1)
                     nt->transferCut(s, act);
             }
@@ -341,7 +343,7 @@ InferenceEngine::run(const std::vector<Sample> &samples)
                 for (std::size_t k = 0; k < shards[r].size(); ++k) {
                     const std::size_t i = shards[r][k];
                     out.samples[i] = std::move(rr.results[k]);
-                    per_sample[i] = rr.per_sample[k];
+                    per_sample[i] = std::move(rr.per_sample[k]);
                 }
             }
         },

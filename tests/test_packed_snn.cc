@@ -10,9 +10,10 @@
  *  - BinarySnn::stepForward and SnnMlp::forwardWith toggle on/off —
  *    byte-identical results, including the fall-back cases (zero
  *    weights, non-binary structure) where packing must refuse;
- *  - SushiChip closed-form counter vs the Npe-object oracle,
+ *  - SushiChip crossing-count counter vs the Npe-object oracle,
  *    including wrap-around borrows (tiny counters), multi-pulse
- *    extras, degraded-mode remaps, and threaded evaluation;
+ *    extras, buckets straddling 64-bit sign-row words, and
+ *    degraded-mode remaps;
  *  - InferenceEngine / Server virtual-clock replay with packed
  *    kernels forced on vs off — byte-identical stats/metrics JSON;
  *  - binarize deterministic-rounding fixes (sign of zero, NaN,
@@ -382,6 +383,27 @@ expectStatsEq(const chip::InferenceStats &a,
         << "trial " << trial;
     EXPECT_EQ(a.degraded_passes, b.degraded_passes)
         << "trial " << trial;
+    EXPECT_EQ(a.disabled_neurons, b.disabled_neurons)
+        << "trial " << trial;
+    EXPECT_EQ(a.plan_reloads, b.plan_reloads) << "trial " << trial;
+    EXPECT_EQ(a.jj_utilisation, b.jj_utilisation) << "trial " << trial;
+    EXPECT_EQ(a.area_utilisation, b.area_utilisation)
+        << "trial " << trial;
+    EXPECT_EQ(a.noc_packets, b.noc_packets) << "trial " << trial;
+    EXPECT_EQ(a.noc_flits, b.noc_flits) << "trial " << trial;
+    EXPECT_EQ(a.noc_flit_hops, b.noc_flit_hops) << "trial " << trial;
+    EXPECT_EQ(a.noc_hol_stall_cycles, b.noc_hol_stall_cycles)
+        << "trial " << trial;
+    EXPECT_EQ(a.noc_backpressure_stalls, b.noc_backpressure_stalls)
+        << "trial " << trial;
+    EXPECT_EQ(a.noc_latency_cycles, b.noc_latency_cycles)
+        << "trial " << trial;
+    EXPECT_EQ(a.noc_max_step_link_flits, b.noc_max_step_link_flits)
+        << "trial " << trial;
+    EXPECT_EQ(a.noc_latency_ps, b.noc_latency_ps) << "trial " << trial;
+    EXPECT_EQ(a.noc_max_link_utilisation, b.noc_max_link_utilisation)
+        << "trial " << trial;
+    EXPECT_EQ(a.noc_cut_flits, b.noc_cut_flits) << "trial " << trial;
     EXPECT_EQ(a.est_time_ps, b.est_time_ps) << "trial " << trial;
     EXPECT_EQ(a.reload_time_ps, b.reload_time_ps)
         << "trial " << trial;
@@ -433,6 +455,98 @@ TEST(ChipParity, StepLayerFastVsOracleFuzz)
         }
         expectStatsEq(fast.stats(), oracle.stats(), trial);
     }
+}
+
+/** A random +-1 layer (about 5% zero weights) with thresholds in
+ *  [-2, 2^sc_per_npe]: nearly every neuron fits a tiny counter, a
+ *  few are disabled. */
+snn::BinaryLayer
+randomChipLayer(std::size_t in_dim, std::size_t out_dim,
+                int sc_per_npe, Rng &rng)
+{
+    snn::BinaryLayer layer;
+    layer.weights.assign(out_dim, std::vector<std::int8_t>(in_dim));
+    for (auto &row : layer.weights)
+        for (auto &w : row)
+            w = rng.chance(0.05) ? 0 : rng.chance(0.5) ? -1 : 1;
+    for (std::size_t o = 0; o < out_dim; ++o)
+        layer.thresholds.push_back(
+            static_cast<int>(rng.range(-2, 1 << sc_per_npe)));
+    return layer;
+}
+
+TEST(ChipParity, MultiWordStepLayerFastVsOracleFuzz)
+{
+    // Multi-word sign rows: buckets that start, end and straddle
+    // 64-bit word boundaries, empty to full activations, and
+    // multi-pulse inputs large enough to wrap a 2- or 3-SC counter
+    // several times within one bucket.
+    const int bucket_sizes[] = {7, 24, 64, 100, 0}; // 0: unbucketed
+    const double densities[] = {0.0, 0.12, 0.5, 1.0};
+    int straddling = 0, multi_bucket = 0;
+    for (int trial = 0; trial < 40; ++trial) {
+        Rng rng(9100 + static_cast<std::uint64_t>(trial));
+        compiler::ChipConfig ccfg;
+        ccfg.n = rng.chance(0.5) ? 4 : 8;
+        ccfg.sc_per_npe = 2 + static_cast<int>(rng.below(2));
+        const int bs = bucket_sizes[trial % 5];
+        ccfg.bucketing.bucketing = bs > 0;
+        if (bs > 0)
+            ccfg.bucketing.bucket_size = bs;
+        const std::size_t in_dim = trial % 4 == 0
+                                       ? 64 * (2 + rng.below(3))
+                                       : 65 + rng.below(236);
+        const std::size_t hidden = 8 + rng.below(90);
+        const auto net = snn::BinarySnn::fromLayers(
+            {randomChipLayer(in_dim, hidden, ccfg.sc_per_npe, rng),
+             randomChipLayer(hidden, 2 + rng.below(5), ccfg.sc_per_npe,
+                             rng)},
+            1);
+        const auto compiled = compiler::compileNetwork(net, ccfg);
+        for (const auto &layer : compiled.layers) {
+            multi_bucket += layer.schedule.buckets.size() > 1 ? 1 : 0;
+            for (const auto &b : layer.schedule.buckets)
+                straddling += b.begin / 64 != (b.end - 1) / 64 ? 1 : 0;
+        }
+
+        chip::SushiChip fast(ccfg), oracle(ccfg);
+        fast.setPackedKernels(true);
+        oracle.setPackedKernels(false);
+        if (trial % 3 == 0) {
+            const int slot = static_cast<int>(rng.below(
+                static_cast<std::uint64_t>(ccfg.n)));
+            fast.markNpeFailed(slot);
+            oracle.markNpeFailed(slot);
+        }
+
+        const double density = densities[(trial / 5) % 4];
+        auto randomAct = [&](std::size_t dim) {
+            chip::PulseVector act(dim, 0);
+            for (auto &v : act)
+                if (rng.chance(density))
+                    v = static_cast<std::uint16_t>(
+                        rng.chance(0.2) ? 1 + rng.below(40) : 1);
+            return act;
+        };
+        for (std::size_t l = 0; l < compiled.layers.size(); ++l) {
+            const auto &blayer = net.layers()[l];
+            for (int rep = 0; rep < 3; ++rep) {
+                const auto act = randomAct(blayer.inDim());
+                ASSERT_EQ(
+                    fast.stepLayer(compiled.layers[l], blayer, act),
+                    oracle.stepLayer(compiled.layers[l], blayer, act))
+                    << "trial " << trial << " layer " << l << " rep "
+                    << rep;
+            }
+        }
+        const auto input = randomAct(in_dim);
+        ASSERT_EQ(fast.stepNetwork(compiled, input),
+                  oracle.stepNetwork(compiled, input))
+            << "trial " << trial;
+        expectStatsEq(fast.stats(), oracle.stats(), trial);
+    }
+    EXPECT_GT(straddling, 0);
+    EXPECT_GT(multi_bucket, 0);
 }
 
 TEST(ChipParity, ZeroWeightStepsLikePlusOne)
