@@ -1,5 +1,9 @@
 #include "chip/sushi_chip.hh"
 
+#ifdef SUSHI_X86_KERNELS
+#include <immintrin.h>
+#endif
+
 #include <algorithm>
 #include <bit>
 #include <utility>
@@ -13,43 +17,46 @@ namespace sushi::chip {
 
 namespace {
 
-// The neuron loop is built twice from one source: with the POPCNT
-// instruction and without. The loader binds the right clone once per
-// process; a bare build has no hardware popcount, so std::popcount
-// would otherwise be a library call per word. ThreadSanitizer builds
-// keep one plain copy: the clone resolver runs before the TSan
-// runtime is up and crashes the process at load.
-#if defined(__SANITIZE_THREAD__)
-#define SUSHI_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define SUSHI_TSAN 1
-#endif
-#endif
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__)) && \
-    !defined(SUSHI_TSAN)
-#define SUSHI_POPCNT_CLONES \
-    __attribute__((target_clones("popcnt", "default")))
-#else
-#define SUSHI_POPCNT_CLONES
-#endif
+using kernel::Extras;
+using kernel::LayerCounts;
+using kernel::Scratch;
 
-/** Multi-pulse inputs: (scheduled position, pulses beyond the first). */
-using Extras = std::vector<std::pair<int, std::uint64_t>>;
+/** Set bit position[j] of @p bits for every set bit j of @p live. */
+[[gnu::always_inline]] inline void
+scatterLive(const int *position, std::uint64_t live, std::uint64_t *bits)
+{
+    for (; live != 0; live &= live - 1) {
+        const int k = position[std::countr_zero(live)];
+        bits[static_cast<std::size_t>(k >> 6)] |= std::uint64_t{1}
+                                                  << (k & 63);
+    }
+}
+
+/** List the multi-pulse inputs of @p act in scheduled order. */
+void
+listExtras(const compiler::CompiledLayer &layer,
+           const std::uint16_t *act, Extras &extras)
+{
+    const int *order = layer.schedule.order.data();
+    const std::size_t in_dim = layer.schedule.order.size();
+    for (std::size_t k = 0; k < in_dim; ++k) {
+        const std::uint16_t v = act[static_cast<std::size_t>(order[k])];
+        if (v > 1)
+            extras.emplace_back(static_cast<int>(k), v - 1);
+    }
+}
 
 /**
- * Scatter @p act (original input order) into @p bits over scheduled
- * positions, 64 inputs at a time; list the multi-pulse inputs in
- * @p extras, in scheduled order, when any exist.
+ * Scatter @p act (original input order) into s.act_bits over
+ * scheduled positions, 64 inputs at a time; list the multi-pulse
+ * inputs in s.extras, in scheduled order, when any exist.
  */
-void
-packActivations(const compiler::CompiledLayer &layer,
-                const PulseVector &act, std::vector<std::uint64_t> &bits,
-                Extras &extras)
+[[gnu::always_inline]] inline void
+packScalar(const compiler::CompiledLayer &layer,
+           const std::uint16_t *act, Scratch &s)
 {
-    const std::size_t in_dim = act.size();
-    const int *position = layer.position.data();
-    bits.assign(layer.signWords(), 0);
+    const std::size_t in_dim = layer.position.size();
+    s.act_bits.assign(layer.signWords(), 0);
     std::uint16_t any = 0;
     for (std::size_t base = 0; base < in_dim; base += 64) {
         const std::size_t lanes = std::min<std::size_t>(64, in_dim - base);
@@ -58,51 +65,31 @@ packActivations(const compiler::CompiledLayer &layer,
             live |= std::uint64_t{act[base + j] != 0} << j;
             any |= act[base + j];
         }
-        for (; live != 0; live &= live - 1) {
-            const int k = position[base + static_cast<std::size_t>(
-                                              std::countr_zero(live))];
-            bits[static_cast<std::size_t>(k >> 6)] |= std::uint64_t{1}
-                                                      << (k & 63);
-        }
+        scatterLive(layer.position.data() + base, live,
+                    s.act_bits.data());
     }
-    extras.clear();
-    if (any > 1) {
-        const int *order = layer.schedule.order.data();
-        for (std::size_t k = 0; k < in_dim; ++k) {
-            const std::uint16_t v =
-                act[static_cast<std::size_t>(order[k])];
-            if (v > 1)
-                extras.emplace_back(static_cast<int>(k), v - 1);
-        }
-    }
+    s.extras.clear();
+    if (any > 1)
+        listExtras(layer, act, s.extras);
 }
 
 /** Popcount of a & s over one bucket's word span. */
-inline std::uint64_t
+[[gnu::always_inline]] inline std::uint64_t
 spanCount(const std::uint64_t *a, const std::uint64_t *s,
           const compiler::BucketSpan &span)
 {
     std::uint64_t n = static_cast<std::uint64_t>(
-        std::popcount(a[span.first_word] & s[span.first_word] &
-                      span.head_mask) +
-        std::popcount(a[span.last_word] & s[span.last_word] &
-                      span.tail_mask));
+        __builtin_popcountll(a[span.first_word] & s[span.first_word] &
+                             span.head_mask) +
+        __builtin_popcountll(a[span.last_word] & s[span.last_word] &
+                             span.tail_mask));
     for (std::uint32_t w = span.first_word + 1; w < span.last_word; ++w)
-        n += static_cast<std::uint64_t>(std::popcount(a[w] & s[w]));
+        n += static_cast<std::uint64_t>(__builtin_popcountll(a[w] & s[w]));
     return n;
 }
 
-/** Tallies of one fast-kernel layer step. */
-struct LayerCounts
-{
-    std::uint64_t active_inputs = 0;
-    std::uint64_t syn_ops = 0;
-    std::uint64_t underflow = 0;
-    std::uint64_t multi = 0;
-};
-
 /**
- * The fast kernel's counting: per-bucket input pulses, then every
+ * The scalar kernel: pack, per-bucket input pulses, then every
  * enabled neuron against its sign row. The K-SC counter is tracked
  * as an unbounded membrane w whose value is w mod 2^K: each
  * inhibitory pass borrows once per multiple of 2^K that w crosses
@@ -110,20 +97,24 @@ struct LayerCounts
  * upwards. Since preload < 2^K, q = floor(w / 2^K) starts at the
  * bias carries, and the carries total q_end - q_start + borrows.
  */
-SUSHI_POPCNT_CLONES LayerCounts
-countLayer(const compiler::CompiledLayer &layer, const std::uint64_t *act,
-           std::uint64_t *bucket_pulses, const Extras &extras, int k_bits,
-           std::uint16_t *out)
+[[gnu::always_inline]] inline LayerCounts
+stepScalar(const compiler::CompiledLayer &layer, const std::uint16_t *act,
+           int k_bits, Scratch &s, std::uint16_t *out)
 {
+    packScalar(layer, act, s);
     LayerCounts c;
+    const std::uint64_t *bits = s.act_bits.data();
     const compiler::BucketSpan *spans = layer.bucket_spans.data();
     const compiler::Block *buckets = layer.schedule.buckets.data();
     const std::size_t n_buckets = layer.bucket_spans.size();
+    const Extras &extras = s.extras;
     const std::size_t n_extras = extras.size();
+    s.bucket_pulses.resize(n_buckets);
+    std::uint64_t *bucket_pulses = s.bucket_pulses.data();
 
     std::uint64_t pulses = 0;
     for (std::size_t b = 0, e = 0; b < n_buckets; ++b) {
-        bucket_pulses[b] = spanCount(act, act, spans[b]);
+        bucket_pulses[b] = spanCount(bits, bits, spans[b]);
         c.active_inputs += bucket_pulses[b];
         for (; e < n_extras && extras[e].first < buckets[b].end; ++e)
             bucket_pulses[b] += extras[e].second;
@@ -141,7 +132,7 @@ countLayer(const compiler::CompiledLayer &layer, const std::uint64_t *act,
         std::int64_t borrows = 0;
         for (std::size_t b = 0, e = 0; b < n_buckets; ++b) {
             auto pos =
-                static_cast<std::int64_t>(spanCount(act, sign, spans[b]));
+                static_cast<std::int64_t>(spanCount(bits, sign, spans[b]));
             for (; e < n_extras && extras[e].first < buckets[b].end;
                  ++e) {
                 const int k = extras[e].first;
@@ -164,6 +155,229 @@ countLayer(const compiler::CompiledLayer &layer, const std::uint64_t *act,
     return c;
 }
 
+LayerCounts
+stepDefault(const compiler::CompiledLayer &layer, const std::uint16_t *act,
+            int k_bits, Scratch &s, std::uint16_t *out)
+{
+    return stepScalar(layer, act, k_bits, s, out);
+}
+
+#ifdef SUSHI_X86_KERNELS
+
+SUSHI_TARGET_POPCNT LayerCounts
+stepPopcnt(const compiler::CompiledLayer &layer, const std::uint16_t *act,
+           int k_bits, Scratch &s, std::uint16_t *out)
+{
+    return stepScalar(layer, act, k_bits, s, out);
+}
+
+// GCC 12's AVX-512 headers seed unmasked intrinsics with a
+// self-initialised "undefined" vector, which -Wmaybe-uninitialized
+// reports at every inlined use.
+#if !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
+
+/**
+ * The scheduled bitset from 32-lane nonzero tests on the 16-bit
+ * pulse counts; an OR over the counts shows whether any exceeds 1.
+ */
+SUSHI_TARGET_AVX512 [[gnu::always_inline]] inline void
+packAvx512(const compiler::CompiledLayer &layer, const std::uint16_t *act,
+           Scratch &s)
+{
+    const std::size_t in_dim = layer.position.size();
+    s.act_bits.assign(layer.signWords(), 0);
+    __m512i any = _mm512_setzero_si512();
+    for (std::size_t base = 0; base < in_dim; base += 64) {
+        const std::size_t lanes = std::min<std::size_t>(64, in_dim - base);
+        const std::size_t lo = std::min<std::size_t>(32, lanes);
+        const __m512i v0 = _mm512_maskz_loadu_epi16(
+            static_cast<__mmask32>(~std::uint64_t{0} >> (64 - lo)),
+            act + base);
+        const __m512i v1 = _mm512_maskz_loadu_epi16(
+            static_cast<__mmask32>(
+                lanes > 32 ? ~std::uint64_t{0} >> (96 - lanes) : 0),
+            act + base + lo);
+        any = _mm512_or_si512(any, _mm512_or_si512(v0, v1));
+        const std::uint64_t live =
+            _mm512_test_epi16_mask(v0, v0) |
+            std::uint64_t{_mm512_test_epi16_mask(v1, v1)} << 32;
+        scatterLive(layer.position.data() + base, live,
+                    s.act_bits.data());
+    }
+    s.extras.clear();
+    if (_mm512_cmpgt_epu16_mask(any, _mm512_set1_epi16(1)) != 0)
+        listExtras(layer, act, s.extras);
+}
+
+/** Eight accumulators in, their eight horizontal sums out (lane j
+ *  = sum of a[j]): a transpose-add of 21 instructions. */
+SUSHI_TARGET_AVX512 [[gnu::always_inline]] inline __m512i
+sum8(const __m512i *a)
+{
+    // Per 128-bit lane: (partial of a[2i], partial of a[2i+1]).
+    const __m512i t01 = _mm512_add_epi64(_mm512_unpacklo_epi64(a[0], a[1]),
+                                         _mm512_unpackhi_epi64(a[0], a[1]));
+    const __m512i t23 = _mm512_add_epi64(_mm512_unpacklo_epi64(a[2], a[3]),
+                                         _mm512_unpackhi_epi64(a[2], a[3]));
+    const __m512i t45 = _mm512_add_epi64(_mm512_unpacklo_epi64(a[4], a[5]),
+                                         _mm512_unpackhi_epi64(a[4], a[5]));
+    const __m512i t67 = _mm512_add_epi64(_mm512_unpacklo_epi64(a[6], a[7]),
+                                         _mm512_unpackhi_epi64(a[6], a[7]));
+    // Fold 128-bit lanes pairwise, twice.
+    const __m512i u03 =
+        _mm512_add_epi64(_mm512_shuffle_i64x2(t01, t23, 0x88),
+                         _mm512_shuffle_i64x2(t01, t23, 0xDD));
+    const __m512i u47 =
+        _mm512_add_epi64(_mm512_shuffle_i64x2(t45, t67, 0x88),
+                         _mm512_shuffle_i64x2(t45, t67, 0xDD));
+    return _mm512_add_epi64(_mm512_shuffle_i64x2(u03, u47, 0x88),
+                            _mm512_shuffle_i64x2(u03, u47, 0xDD));
+}
+
+/**
+ * The vector kernel: the scalar kernel's arithmetic for eight
+ * neurons at a time, in int64 lanes. Each bucket's masked
+ * activation span is built once per step; per group and bucket one
+ * vpopcntq accumulator per neuron runs over the span in chunks of
+ * up to eight words, and sum8 reduces the eight at once. Lanes past
+ * out_dim read the group's last row and are masked off with the
+ * disabled neurons.
+ */
+SUSHI_TARGET_AVX512 LayerCounts
+stepAvx512(const compiler::CompiledLayer &layer, const std::uint16_t *act,
+           int k_bits, Scratch &s, std::uint16_t *out)
+{
+    packAvx512(layer, act, s);
+    LayerCounts c;
+    const std::uint64_t *bits = s.act_bits.data();
+    const compiler::BucketSpan *spans = layer.bucket_spans.data();
+    const compiler::Block *buckets = layer.schedule.buckets.data();
+    const std::size_t n_buckets = layer.bucket_spans.size();
+    const Extras &extras = s.extras;
+    const std::size_t n_extras = extras.size();
+    s.bucket_pulses.resize(n_buckets);
+    std::uint64_t *bucket_pulses = s.bucket_pulses.data();
+
+    s.bucket_acts.clear();
+    std::uint64_t pulses = 0;
+    for (std::size_t b = 0, e = 0; b < n_buckets; ++b) {
+        const compiler::BucketSpan &span = spans[b];
+        std::uint64_t n = 0;
+        for (std::uint32_t w = span.first_word; w <= span.last_word;
+             ++w) {
+            const std::uint64_t mask = w == span.first_word ? span.head_mask
+                                       : w == span.last_word
+                                           ? span.tail_mask
+                                           : ~std::uint64_t{0};
+            s.bucket_acts.push_back(bits[w] & mask);
+            n += static_cast<std::uint64_t>(
+                __builtin_popcountll(bits[w] & mask));
+        }
+        c.active_inputs += n;
+        for (; e < n_extras && extras[e].first < buckets[b].end; ++e)
+            n += extras[e].second;
+        bucket_pulses[b] = n;
+        pulses += n;
+    }
+
+    const std::size_t out_dim = layer.disabled.size();
+    const __m128i k = _mm_cvtsi32_si128(k_bits);
+    const __m512i one = _mm512_set1_epi64(1);
+    for (std::size_t o0 = 0; o0 < out_dim; o0 += 8) {
+        const std::size_t lanes = std::min<std::size_t>(8, out_dim - o0);
+        const auto in_range = static_cast<__mmask8>((1u << lanes) - 1);
+        const __m128i off =
+            _mm_maskz_loadu_epi8(in_range, layer.disabled.data() + o0);
+        const auto live = static_cast<__mmask8>(
+            in_range & ~_mm_test_epi8_mask(off, off));
+        if (live == 0)
+            continue;
+        const std::uint64_t *rows[8];
+        for (std::size_t j = 0; j < 8; ++j)
+            rows[j] = layer.signRow(o0 + std::min(j, lanes - 1));
+
+        __m512i w = _mm512_add_epi64(
+            _mm512_maskz_loadu_epi64(in_range, layer.preload.data() + o0),
+            _mm512_cvtepi32_epi64(_mm256_maskz_loadu_epi32(
+                in_range, layer.bias_pulses.data() + o0)));
+        __m512i q = _mm512_sra_epi64(w, k);
+        __m512i borrows = _mm512_setzero_si512();
+        const std::uint64_t *acts = s.bucket_acts.data();
+        for (std::size_t b = 0, e = 0; b < n_buckets; ++b) {
+            const std::uint32_t first = spans[b].first_word;
+            const std::uint32_t n_words = spans[b].last_word - first + 1;
+            __m512i acc[8];
+#pragma GCC unroll 8
+            for (std::size_t j = 0; j < 8; ++j)
+                acc[j] = _mm512_setzero_si512();
+            for (std::uint32_t x = 0; x < n_words; x += 8) {
+                const auto m = static_cast<__mmask8>(
+                    n_words - x >= 8 ? 0xFF : (1u << (n_words - x)) - 1);
+                const __m512i a = _mm512_maskz_loadu_epi64(m, acts + x);
+#pragma GCC unroll 8
+                for (std::size_t j = 0; j < 8; ++j)
+                    acc[j] = _mm512_add_epi64(
+                        acc[j],
+                        _mm512_popcnt_epi64(_mm512_and_si512(
+                            _mm512_maskz_loadu_epi64(m, rows[j] + first + x),
+                            a)));
+            }
+            __m512i pos = sum8(acc);
+            for (; e < n_extras && extras[e].first < buckets[b].end;
+                 ++e) {
+                const int bit = extras[e].first;
+                unsigned has = 0;
+                for (std::size_t j = 0; j < 8; ++j)
+                    has |= static_cast<unsigned>(
+                               (rows[j][bit >> 6] >> (bit & 63)) & 1)
+                           << j;
+                pos = _mm512_mask_add_epi64(
+                    pos, static_cast<__mmask8>(has), pos,
+                    _mm512_set1_epi64(
+                        static_cast<long long>(extras[e].second)));
+            }
+            // Inhibitory pass first within every bucket (Sec. 5.1).
+            w = _mm512_sub_epi64(
+                w, _mm512_sub_epi64(
+                       _mm512_set1_epi64(
+                           static_cast<long long>(bucket_pulses[b])),
+                       pos));
+            borrows = _mm512_add_epi64(
+                borrows, _mm512_sub_epi64(q, _mm512_sra_epi64(w, k)));
+            w = _mm512_add_epi64(w, pos);
+            q = _mm512_sra_epi64(w, k);
+            acts += n_words;
+        }
+        const __m512i spikes =
+            _mm512_add_epi64(q, _mm512_add_epi64(borrows, borrows));
+        _mm512_mask_cvtepi64_storeu_epi16(out + o0, live, spikes);
+        c.syn_ops += pulses * static_cast<std::uint64_t>(
+                                  __builtin_popcount(live));
+        c.underflow += static_cast<std::uint64_t>(
+            _mm512_mask_reduce_add_epi64(live, borrows));
+        c.multi += static_cast<std::uint64_t>(__builtin_popcount(
+            _mm512_mask_cmpgt_epu64_mask(live, spikes, one)));
+    }
+    return c;
+}
+
+#if !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
+
+#endif // SUSHI_X86_KERNELS
+
+constexpr kernel::Variant kVariants[] = {
+    {"default", Isa::Default, stepDefault},
+#ifdef SUSHI_X86_KERNELS
+    {"popcnt", Isa::Popcnt, stepPopcnt},
+    {"avx512", Isa::Avx512, stepAvx512},
+#endif
+};
+
 /** Element-wise sum of per-cut flit counters (ragged-safe). */
 void
 mergeCutFlits(std::vector<std::uint64_t> &into,
@@ -176,6 +390,32 @@ mergeCutFlits(std::vector<std::uint64_t> &into,
 }
 
 } // namespace
+
+std::span<const kernel::Variant>
+kernel::variants()
+{
+    return kVariants;
+}
+
+const kernel::Variant &
+kernel::selected()
+{
+    static const Variant *const best = [] {
+        const Variant *v = &kVariants[0];
+        for (const Variant &c : kVariants)
+            if (c.isa <= hostIsa())
+                v = &c;
+        return v;
+    }();
+    return *best;
+}
+
+void
+kernel::pin(SushiChip &chip, const Variant &v)
+{
+    sushi_assert(v.isa <= hostIsa());
+    chip.kernel_ = &v;
+}
 
 void
 InferenceStats::accumulate(const InferenceStats &other)
@@ -266,7 +506,8 @@ SushiChip::SushiChip(const compiler::ChipConfig &cfg)
     : cfg_(cfg),
       failed_npes_(static_cast<std::size_t>(cfg.n), 0),
       remap_(compiler::planNpeRemap(cfg.n, failed_npes_)),
-      pulse_ps_(fabric::pulseTimePs(fabric::scalingMeshConfig(cfg.n)))
+      pulse_ps_(fabric::pulseTimePs(fabric::scalingMeshConfig(cfg.n))),
+      kernel_(&kernel::selected())
 {
     sushi_assert(cfg.n >= 1);
 }
@@ -331,14 +572,11 @@ SushiChip::stepLayer(const compiler::CompiledLayer &layer,
     }
 
     if (packedKernels()) {
-        // Pack the activations once, then one popcount per (neuron,
-        // bucket) against the sign row and crossing-count counter
+        // Pack the activations once, then count every neuron's
+        // buckets against its sign row with crossing-count counter
         // arithmetic, with no Npe object per neuron-step.
-        packActivations(layer, act, act_bits_, extras_);
-        bucket_pulses_.resize(layer.bucket_spans.size());
-        const LayerCounts c =
-            countLayer(layer, act_bits_.data(), bucket_pulses_.data(),
-                       extras_, cfg_.sc_per_npe, out.data());
+        const kernel::LayerCounts c = kernel_->step(
+            layer, act.data(), cfg_.sc_per_npe, scratch_, out.data());
         active_inputs = c.active_inputs;
         syn_ops = c.syn_ops;
         underflow = c.underflow;

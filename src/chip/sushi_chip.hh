@@ -16,9 +16,9 @@
 #define SUSHI_CHIP_SUSHI_CHIP_HH
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
+#include "chip/kernel.hh"
 #include "compiler/compile.hh"
 #include "npe/npe.hh"
 #include "snn/packed.hh"
@@ -195,7 +195,7 @@ class SushiChip
     /// The fast path packs the step's activations once into a
     /// bitset over scheduled positions, scattering each active input
     /// to CompiledLayer::position. It then counts each (neuron,
-    /// bucket) pair's excitatory pulses with one popcount over the
+    /// bucket) pair's excitatory pulses by popcount over the
     /// bucket's word span against the compiled sign row
     /// (CompiledLayer::signRow, bucket_spans; inhibitory = the
     /// bucket's input pulses minus that). The K-SC counter is
@@ -203,15 +203,21 @@ class SushiChip
     /// time w crosses a multiple of 2^K, upwards (carry) or downwards
     /// (borrow), so each pass costs a shift and a subtraction (the
     /// exact recurrence Npe::addPulses implements, because preloads
-    /// are below 2^K). The neuron loop is one function cloned for a
-    /// hardware popcount on x86-64 and dispatched once per layer
-    /// step. The oracle counts both classes with a scalar walk of the
-    /// schedule over the binarized weights and drives an Npe object,
-    /// so it shares neither the sign rows nor the counter
-    /// arithmetic. Pulse outputs and every InferenceStats counter are
-    /// bit-identical either way; tests/test_packed_snn.cc fuzzes the
-    /// equivalence. A chip follows the process-wide snn::packed
-    /// toggle (SUSHI_PACKED) until setPackedKernels pins it.
+    /// are below 2^K). The kernel has three builds (chip/kernel.hh):
+    /// "default" and "popcnt" compile one scalar neuron loop without
+    /// and with the POPCNT instruction; on x86-64 "avx512" packs 32
+    /// inputs per lane test and counts eight neurons per group, one
+    /// vpopcntq accumulator per neuron over the same row-major sign
+    /// rows, with the recurrence in int64 lanes. The best build the
+    /// CPU runs is picked once per process (hostIsa) and called once
+    /// per layer step. The oracle counts both classes with a scalar
+    /// walk of the schedule over the binarized weights and drives an
+    /// Npe object, so it shares neither the sign rows nor the
+    /// counter arithmetic. Pulse outputs and every InferenceStats
+    /// counter are bit-identical on every path;
+    /// tests/test_packed_snn.cc fuzzes each build against the
+    /// oracle. A chip follows the process-wide snn::packed toggle
+    /// (SUSHI_PACKED) until setPackedKernels pins it.
     /// @{
 
     /** Force the fast (true) or oracle (false) kernel on this chip. */
@@ -265,15 +271,10 @@ class SushiChip
     compiler::NpeRemap remap_;
     int kernel_override_ = -1; ///< -1 follow global, else 0/1
     double pulse_ps_; ///< modelled time per streamed pulse
+    const kernel::Variant *kernel_; ///< the fast path's build
+    kernel::Scratch scratch_;       ///< fast-kernel buffers
 
-    /// @name Fast-kernel scratch, reused across layer steps (a chip
-    /// is driven by one thread at a time: its replica's lock holder).
-    /// @{
-    std::vector<std::uint64_t> act_bits_;      ///< scheduled bitset
-    std::vector<std::uint64_t> bucket_pulses_; ///< input pulses
-    /// Multi-pulse inputs in scheduled order: (position, pulses - 1).
-    std::vector<std::pair<int, std::uint64_t>> extras_;
-    /// @}
+    friend void kernel::pin(SushiChip &chip, const kernel::Variant &v);
 };
 
 } // namespace sushi::chip

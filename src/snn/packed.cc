@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdlib>
 
+#include "common/cpu.hh"
 #include "common/logging.hh"
 #include "common/parallel.hh"
 
@@ -160,17 +161,6 @@ PackedLayer::fromEffective(const Tensor &w,
     return layer;
 }
 
-int
-PackedLayer::dot(std::size_t o, const std::uint64_t *x,
-                 std::int32_t active) const
-{
-    const std::uint64_t *s = signRow(o);
-    int pos = 0;
-    for (std::size_t w = 0; w < words_; ++w)
-        pos += std::popcount(x[w] & s[w]);
-    return 2 * pos - active;
-}
-
 namespace {
 
 /** Integer dot of neuron @p o the slow way: one sign bit at a time,
@@ -189,6 +179,52 @@ scalarDot(const PackedLayer &layer, std::size_t o,
     return acc;
 }
 
+/** Dots of sign row @p s with every row of @p x: 2 * popcount(x_b &
+ *  s) - active_b. */
+using DotBatchFn = void (*)(const std::uint64_t *s,
+                            const PackedActivations &x, int *dots);
+
+[[gnu::always_inline]] inline void
+dotBatchScalar(const std::uint64_t *s, const PackedActivations &x,
+               int *dots)
+{
+    for (std::size_t b = 0; b < x.batch; ++b) {
+        const std::uint64_t *xb = x.row(b);
+        int pos = 0;
+        for (std::size_t w = 0; w < x.words; ++w)
+            pos += __builtin_popcountll(xb[w] & s[w]);
+        dots[b] = 2 * pos - x.active[b];
+    }
+}
+
+void
+dotBatchDefault(const std::uint64_t *s, const PackedActivations &x,
+                int *dots)
+{
+    dotBatchScalar(s, x, dots);
+}
+
+#ifdef SUSHI_X86_KERNELS
+SUSHI_TARGET_POPCNT void
+dotBatchPopcnt(const std::uint64_t *s, const PackedActivations &x,
+               int *dots)
+{
+    dotBatchScalar(s, x, dots);
+}
+#endif
+
+/** The dot loop for this CPU, picked once per process. */
+DotBatchFn
+dotBatch()
+{
+    static const DotBatchFn fn =
+#ifdef SUSHI_X86_KERNELS
+        hostIsa() >= Isa::Popcnt ? dotBatchPopcnt :
+#endif
+                                 dotBatchDefault;
+    return fn;
+}
+
 /** Shared batch-major driver: fn(o, b, dot) for every (neuron,
  *  sample) pair, neurons split across the pool. */
 template <typename Fn>
@@ -203,19 +239,22 @@ forEachDot(const PackedLayer &layer, const PackedActivations &x,
     opts.grain = 16;
     opts.max_workers =
         threads <= 0 ? 0 : static_cast<unsigned>(threads);
+    const DotBatchFn dot_batch = dotBatch();
     parallelFor(
         layer.outDim(),
         [&](std::size_t o0, std::size_t o1) {
-            for (std::size_t o = o0; o < o1; ++o) {
-                for (std::size_t b = 0; b < batch; ++b) {
-                    const std::uint64_t *xb = x.row(b);
-                    const int d =
-                        backend == Backend::Packed
-                            ? layer.dot(o, xb, x.active[b])
-                            : scalarDot(layer, o, xb, x.bits);
-                    fn(o, b, d);
+            if (backend == Backend::Packed) {
+                std::vector<int> dots(batch);
+                for (std::size_t o = o0; o < o1; ++o) {
+                    dot_batch(layer.signRow(o), x, dots.data());
+                    for (std::size_t b = 0; b < batch; ++b)
+                        fn(o, b, dots[b]);
                 }
+                return;
             }
+            for (std::size_t o = o0; o < o1; ++o)
+                for (std::size_t b = 0; b < batch; ++b)
+                    fn(o, b, scalarDot(layer, o, x.row(b), x.bits));
         },
         opts);
 }

@@ -163,10 +163,6 @@ class PackedLayer
     const std::vector<float> &alpha() const { return alpha_; }
     const std::vector<float> &bias() const { return bias_; }
 
-    /** Signed dot product of neuron @p o with a packed row. */
-    int dot(std::size_t o, const std::uint64_t *x,
-            std::int32_t active) const;
-
   private:
     std::size_t in_dim_ = 0;
     std::size_t out_dim_ = 0;

@@ -10,10 +10,11 @@
  *  - BinarySnn::stepForward and SnnMlp::forwardWith toggle on/off —
  *    byte-identical results, including the fall-back cases (zero
  *    weights, non-binary structure) where packing must refuse;
- *  - SushiChip crossing-count counter vs the Npe-object oracle,
- *    including wrap-around borrows (tiny counters), multi-pulse
- *    extras, buckets straddling 64-bit sign-row words, and
- *    degraded-mode remaps;
+ *  - SushiChip crossing-count counter vs the Npe-object oracle, for
+ *    every fast-kernel build the CPU runs, including wrap-around
+ *    borrows (tiny counters), multi-pulse extras, buckets straddling
+ *    64-bit sign-row words, partial and mixed disabled/live groups
+ *    of eight neurons, and degraded-mode remaps;
  *  - InferenceEngine / Server virtual-clock replay with packed
  *    kernels forced on vs off — byte-identical stats/metrics JSON;
  *  - binarize deterministic-rounding fixes (sign of zero, NaN,
@@ -22,13 +23,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <future>
 #include <limits>
 #include <vector>
 
+#include "chip/kernel.hh"
 #include "chip/sushi_chip.hh"
+#include "common/cpu.hh"
 #include "common/rng.hh"
 #include "compiler/compile.hh"
 #include "engine/inference_engine.hh"
@@ -411,7 +415,22 @@ expectStatsEq(const chip::InferenceStats &a,
         << "trial " << trial;
 }
 
-TEST(ChipParity, StepLayerFastVsOracleFuzz)
+/** A fast-kernel build to fuzz; nullptr = the one the process picked. */
+using KernelBuild = const chip::kernel::Variant *;
+
+/** A chip whose fast path runs @p build (or the picked one). */
+chip::SushiChip
+fastChip(const compiler::ChipConfig &cfg, KernelBuild build)
+{
+    chip::SushiChip c(cfg);
+    c.setPackedKernels(true);
+    if (build != nullptr)
+        chip::kernel::pin(c, *build);
+    return c;
+}
+
+void
+fuzzStepLayer(KernelBuild build)
 {
     for (int trial = 0; trial < 40; ++trial) {
         Rng rng(7000 + static_cast<std::uint64_t>(trial));
@@ -426,8 +445,7 @@ TEST(ChipParity, StepLayerFastVsOracleFuzz)
         ccfg.sc_per_npe = 3 + static_cast<int>(rng.below(3));
         const auto compiled = compiler::compileNetwork(net, ccfg);
 
-        chip::SushiChip fast(ccfg), oracle(ccfg);
-        fast.setPackedKernels(true);
+        chip::SushiChip fast = fastChip(ccfg, build), oracle(ccfg);
         oracle.setPackedKernels(false);
         EXPECT_TRUE(fast.packedKernels());
         EXPECT_FALSE(oracle.packedKernels());
@@ -475,7 +493,13 @@ randomChipLayer(std::size_t in_dim, std::size_t out_dim,
     return layer;
 }
 
-TEST(ChipParity, MultiWordStepLayerFastVsOracleFuzz)
+TEST(ChipParity, StepLayerFastVsOracleFuzz)
+{
+    fuzzStepLayer(nullptr);
+}
+
+void
+fuzzMultiWord(KernelBuild build)
 {
     // Multi-word sign rows: buckets that start, end and straddle
     // 64-bit word boundaries, empty to full activations, and
@@ -509,8 +533,7 @@ TEST(ChipParity, MultiWordStepLayerFastVsOracleFuzz)
                 straddling += b.begin / 64 != (b.end - 1) / 64 ? 1 : 0;
         }
 
-        chip::SushiChip fast(ccfg), oracle(ccfg);
-        fast.setPackedKernels(true);
+        chip::SushiChip fast = fastChip(ccfg, build), oracle(ccfg);
         oracle.setPackedKernels(false);
         if (trial % 3 == 0) {
             const int slot = static_cast<int>(rng.below(
@@ -548,6 +571,127 @@ TEST(ChipParity, MultiWordStepLayerFastVsOracleFuzz)
     EXPECT_GT(straddling, 0);
     EXPECT_GT(multi_bucket, 0);
 }
+
+TEST(ChipParity, MultiWordStepLayerFastVsOracleFuzz)
+{
+    fuzzMultiWord(nullptr);
+}
+
+void
+fuzzLaneGroups(KernelBuild build)
+{
+    // Output widths around the vector build's groups of eight
+    // neurons: a one-lane and a seven-lane partial group, whole
+    // groups, one-lane tails and the digits net's hidden layer. A
+    // random third of the neurons is disabled, so groups mix
+    // disabled and live lanes; every chip has a failed NPE slot.
+    const std::size_t out_dims[] = {1, 7, 8, 9, 17, 96};
+    const int bucket_sizes[] = {0, 7, 24, 64}; // 0: unbucketed
+    int mixed_groups = 0, tail_extras = 0;
+    for (int trial = 0; trial < 48; ++trial) {
+        Rng rng(9700 + static_cast<std::uint64_t>(trial));
+        compiler::ChipConfig ccfg;
+        ccfg.n = rng.chance(0.5) ? 4 : 8;
+        ccfg.sc_per_npe = 2 + static_cast<int>(rng.below(3));
+        const int bs = bucket_sizes[trial % 4];
+        ccfg.bucketing.bucketing = bs > 0;
+        if (bs > 0)
+            ccfg.bucketing.bucket_size = bs;
+        const std::size_t out_dim = out_dims[trial % 6];
+        const std::size_t in_dim = 5 + rng.below(300);
+        const int budget = 1 << ccfg.sc_per_npe;
+        auto layer =
+            randomChipLayer(in_dim, out_dim, ccfg.sc_per_npe, rng);
+        layer.thresholds[0] = static_cast<int>(rng.range(-2, budget - 1));
+        for (std::size_t o = 1; o < out_dim; ++o)
+            if (rng.chance(1.0 / 3.0))
+                layer.thresholds[o] =
+                    budget + static_cast<int>(rng.below(10));
+        const auto net = snn::BinarySnn::fromLayers({layer}, 1);
+        const auto compiled = compiler::compileNetwork(net, ccfg);
+        const auto &disabled = compiled.layers[0].disabled;
+        for (std::size_t o0 = 0; o0 < out_dim; o0 += 8) {
+            const auto end = disabled.begin() + static_cast<std::ptrdiff_t>(
+                                                    std::min(o0 + 8, out_dim));
+            const auto begin =
+                disabled.begin() + static_cast<std::ptrdiff_t>(o0);
+            mixed_groups += std::count(begin, end, 0) > 0 &&
+                            std::count(begin, end, 1) > 0;
+        }
+
+        chip::SushiChip fast = fastChip(ccfg, build), oracle(ccfg);
+        oracle.setPackedKernels(false);
+        const int slot = static_cast<int>(
+            rng.below(static_cast<std::uint64_t>(ccfg.n)));
+        fast.markNpeFailed(slot);
+        oracle.markNpeFailed(slot);
+
+        const double density = rng.uniform(0.05, 1.0);
+        for (int rep = 0; rep < 4; ++rep) {
+            chip::PulseVector act(in_dim, 0);
+            bool multi = false;
+            for (auto &v : act) {
+                if (!rng.chance(density))
+                    continue;
+                v = static_cast<std::uint16_t>(
+                    rng.chance(0.3) ? 2 + rng.below(20) : 1);
+                multi = multi || v > 1;
+            }
+            tail_extras += multi && out_dim % 8 != 0;
+            ASSERT_EQ(fast.stepLayer(compiled.layers[0], layer, act),
+                      oracle.stepLayer(compiled.layers[0], layer, act))
+                << "trial " << trial << " rep " << rep;
+        }
+        expectStatsEq(fast.stats(), oracle.stats(), trial);
+    }
+    EXPECT_GT(mixed_groups, 0);
+    EXPECT_GT(tail_extras, 0);
+}
+
+TEST(ChipParity, LaneGroupFastVsOracleFuzz)
+{
+    fuzzLaneGroups(nullptr);
+}
+
+/** The three fuzzes again, once per kernel build this CPU runs. */
+class ChipKernelParity : public ::testing::TestWithParam<std::string>
+{
+  protected:
+    void SetUp() override
+    {
+        for (const auto &v : chip::kernel::variants())
+            if (GetParam() == v.name)
+                build_ = &v;
+        if (build_ == nullptr)
+            GTEST_SKIP() << "kernel build " << GetParam()
+                         << " is not compiled for this target";
+        if (build_->isa > hostIsa())
+            GTEST_SKIP() << "kernel build " << GetParam()
+                         << " needs instructions this CPU lacks";
+    }
+
+    KernelBuild build_ = nullptr;
+};
+
+TEST_P(ChipKernelParity, StepLayerFastVsOracleFuzz)
+{
+    fuzzStepLayer(build_);
+}
+
+TEST_P(ChipKernelParity, MultiWordStepLayerFastVsOracleFuzz)
+{
+    fuzzMultiWord(build_);
+}
+
+TEST_P(ChipKernelParity, LaneGroupFastVsOracleFuzz)
+{
+    fuzzLaneGroups(build_);
+}
+
+INSTANTIATE_TEST_SUITE_P(Builds, ChipKernelParity,
+                         ::testing::Values("default", "popcnt",
+                                           "avx512"),
+                         [](const auto &info) { return info.param; });
 
 TEST(ChipParity, ZeroWeightStepsLikePlusOne)
 {
