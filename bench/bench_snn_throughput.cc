@@ -1,18 +1,20 @@
 /**
  * @file
- * Binarized FC forward throughput: packed XNOR/popcount kernel vs
- * the element-wise scalar oracle on the paper's layer geometry
- * (784 -> 800, Sec. 6) across a serving batch.
+ * Binarized FC forward throughput: the packed XNOR/popcount kernel
+ * of the binarization-aware trainer (snn::packed::effectiveForward)
+ * vs its element-wise scalar oracle on the paper's layer geometry
+ * (784 -> 800, Sec. 6) across a 256-sample batch.
  *
  * The batch-major packed kernel fetches each packed weight row once
  * and streams it over the whole batch, so the headline number is
  * synaptic ops/sec (batch * out_dim * in_dim per pass). Correctness
  * is asserted bit-exactly before any number is reported — packed
- * spikes must equal both the scalar-oracle spikes and an independent
- * int8 reference — so a fast but wrong kernel fails instead of
- * "winning". A dense float linearForward pass over the XNOR-Net
- * effective weights is timed alongside as context (the path the
- * binarization-aware trainer used before the packed kernels).
+ * outputs (bias + alpha * dot) must equal both the scalar-oracle
+ * outputs and an independent reference taken straight off the +-1
+ * signs — so a fast but wrong kernel fails instead of "winning". A
+ * dense float linearForward pass over the same effective weights is
+ * timed alongside as context (the path the trainer takes for weights
+ * without the exact +-alpha structure).
  *
  * Environment:
  *   SUSHI_JSON_OUT  output path (default BENCH_snn.json)
@@ -72,44 +74,38 @@ main()
                           static_cast<double>(kOutDim) *
                           static_cast<double>(kBatch);
 
-    // Deterministic workload: random {-1,+1} weights, thresholds,
-    // and a 30%-dense binary activation batch.
+    // Deterministic workload: random +-alpha_o effective weights,
+    // biases, and a 30%-dense binary activation batch.
     Rng rng(20260809);
-    std::vector<std::vector<std::int8_t>> weights(kOutDim);
-    std::vector<int> thresholds(kOutDim);
+    snn::Tensor eff(kOutDim, kInDim);
+    std::vector<float> bias(kOutDim);
     for (std::size_t o = 0; o < kOutDim; ++o) {
-        weights[o].resize(kInDim);
-        for (auto &w : weights[o])
-            w = rng.chance(0.5) ? 1 : -1;
-        thresholds[o] = static_cast<int>(rng.range(-30, 30));
+        const auto alpha = static_cast<float>(rng.uniform(0.01, 1.0));
+        for (std::size_t i = 0; i < kInDim; ++i)
+            eff.at(o, i) = rng.chance(0.5) ? alpha : -alpha;
+        bias[o] = static_cast<float>(rng.uniform(-30.0, 30.0));
     }
-    const PackedLayer layer =
-        PackedLayer::fromSigned(weights, thresholds);
-    if (!layer.packable()) {
+    const PackedLayer layer = PackedLayer::fromEffective(eff, bias);
+    snn::Tensor xf(kBatch, kInDim);
+    for (std::size_t i = 0; i < xf.size(); ++i)
+        xf.data()[i] = rng.chance(0.3) ? 1.0f : 0.0f;
+    PackedActivations x;
+    if (!layer.packable() || !snn::packed::packFloatRows(xf, x)) {
         std::fprintf(stderr, "workload failed to pack\n");
         return 1;
     }
 
-    std::vector<std::vector<std::uint8_t>> act(kBatch);
-    std::vector<const std::uint8_t *> rows(kBatch);
-    for (std::size_t b = 0; b < kBatch; ++b) {
-        act[b].resize(kInDim);
-        for (auto &v : act[b])
-            v = rng.chance(0.3) ? 1 : 0;
-        rows[b] = act[b].data();
-    }
-    PackedActivations x;
-    snn::packed::packRows(rows.data(), kBatch, kInDim, x);
-
-    // Independent int8 reference, computed once.
-    std::vector<std::uint8_t> want(kBatch * kOutDim);
+    // Independent reference, computed once: the integer dot straight
+    // off the +-1 signs, then the trainer's epilogue.
+    snn::Tensor want(kBatch, kOutDim);
     for (std::size_t b = 0; b < kBatch; ++b) {
         for (std::size_t o = 0; o < kOutDim; ++o) {
             int dot = 0;
             for (std::size_t i = 0; i < kInDim; ++i)
-                if (act[b][i])
-                    dot += weights[o][i];
-            want[b * kOutDim + o] = dot >= thresholds[o] ? 1 : 0;
+                if (xf.at(b, i) != 0.0f)
+                    dot += eff.at(o, i) > 0.0f ? 1 : -1;
+            want.at(b, o) =
+                bias[o] + layer.alpha()[o] * static_cast<float>(dot);
         }
     }
 
@@ -119,19 +115,20 @@ main()
     std::printf("%.3g synaptic ops/pass, best of %d repetitions\n",
                 synops, reps);
 
-    std::vector<std::uint8_t> spikes(kBatch * kOutDim);
+    snn::Tensor out(kBatch, kOutDim);
     bool correct = true;
 
     auto timeKernel = [&](Backend backend, int threads) {
         double best = 1e300;
         for (int r = 0; r < reps; ++r) {
-            std::memset(spikes.data(), 0, spikes.size());
+            out.zero();
             const auto t0 = std::chrono::steady_clock::now();
-            snn::packed::spikeForward(layer, x, spikes.data(),
-                                      backend, threads);
+            snn::packed::effectiveForward(layer, x, out, backend,
+                                          threads);
             const auto t1 = std::chrono::steady_clock::now();
             best = std::min(best, seconds(t0, t1));
-            correct &= spikes == want;
+            correct &= std::memcmp(out.data(), want.data(),
+                                   out.size() * sizeof(float)) == 0;
         }
         return synops / best;
     };
@@ -140,17 +137,9 @@ main()
     const double packed_ops = timeKernel(Backend::Packed, 1);
     const double packed_mt_ops = timeKernel(Backend::Packed, 0);
 
-    // Dense float context: the effective-weight linearForward pass
-    // (bias + alpha * sign(w) accumulated in float).
-    snn::Tensor eff(kOutDim, kInDim);
-    std::vector<float> bias(kOutDim, 0.0f);
-    for (std::size_t o = 0; o < kOutDim; ++o)
-        for (std::size_t i = 0; i < kInDim; ++i)
-            eff.at(o, i) = weights[o][i] > 0 ? 0.5f : -0.5f;
-    snn::Tensor xf(kBatch, kInDim), hf(kBatch, kOutDim);
-    for (std::size_t b = 0; b < kBatch; ++b)
-        for (std::size_t i = 0; i < kInDim; ++i)
-            xf.at(b, i) = act[b][i] ? 1.0f : 0.0f;
+    // Dense float context: the same effective weights through the
+    // float linearForward pass.
+    snn::Tensor hf(kBatch, kOutDim);
     double float_best = 1e300;
     double float_sink = 0.0;
     for (int r = 0; r < reps; ++r) {
@@ -172,19 +161,19 @@ main()
     std::printf("packed (1t)   : %10.3g synops/sec\n", packed_ops);
     std::printf("packed (pool) : %10.3g synops/sec (%u hw threads)\n",
                 packed_mt_ops, hw);
-    std::printf("spikes %s; packed vs scalar: %.1fx (floor %.0fx), "
+    std::printf("outputs %s; packed vs scalar: %.1fx (floor %.0fx), "
                 "vs dense float: %.1fx\n",
                 correct ? "bit-exact" : "MISMATCH", speedup,
                 kSpeedupFloor, speedup_vs_float);
 
     JsonWriter w;
-    w.field("workload", "binarized_fc_forward");
+    w.field("workload", "binarized_fc_effective_forward");
     w.field("in_dim", static_cast<std::uint64_t>(kInDim));
     w.field("out_dim", static_cast<std::uint64_t>(kOutDim));
     w.field("batch", static_cast<std::uint64_t>(kBatch));
     w.field("reps", reps);
     w.field("synops_per_pass", synops);
-    w.field("spikes_ok", correct);
+    w.field("outputs_ok", correct);
     w.field("scalar_synops_per_sec", scalar_ops);
     w.field("float_synops_per_sec", float_ops);
     w.field("packed_synops_per_sec", packed_ops);

@@ -457,43 +457,22 @@ InferenceStats::accumulate(const InferenceStats &other)
 void
 InferenceStats::accumulatePipeline(const InferenceStats &stage)
 {
-    frames = std::max(frames, stage.frames);
-    time_steps = std::max(time_steps, stage.time_steps);
-    input_pulses += stage.input_pulses;
-    synaptic_ops += stage.synaptic_ops;
-    output_spikes += stage.output_spikes;
-    underflow_spikes += stage.underflow_spikes;
-    multi_fires += stage.multi_fires;
-    reload_events += stage.reload_events;
-    failed_npes = std::max(failed_npes, stage.failed_npes);
-    remapped_neurons += stage.remapped_neurons;
-    degraded_passes += stage.degraded_passes;
-    // Per-chip plan diagnostics add up across the plan's stages;
-    // utilisation reports the worst chip of the plan.
-    disabled_neurons += stage.disabled_neurons;
-    plan_reloads += stage.plan_reloads;
-    jj_utilisation = std::max(jj_utilisation, stage.jj_utilisation);
-    area_utilisation =
-        std::max(area_utilisation, stage.area_utilisation);
-    // Transport is accounted once per replica group (the engine
-    // folds it in after this merge), but stray per-stage records
-    // still merge with counter/gauge semantics.
-    noc_packets += stage.noc_packets;
-    noc_flits += stage.noc_flits;
-    noc_flit_hops += stage.noc_flit_hops;
-    noc_hol_stall_cycles += stage.noc_hol_stall_cycles;
-    noc_backpressure_stalls += stage.noc_backpressure_stalls;
-    noc_latency_cycles += stage.noc_latency_cycles;
-    noc_max_step_link_flits = std::max(noc_max_step_link_flits,
-                                       stage.noc_max_step_link_flits);
-    noc_latency_ps += stage.noc_latency_ps;
-    noc_max_link_utilisation = std::max(
-        noc_max_link_utilisation, stage.noc_max_link_utilisation);
-    mergeCutFlits(noc_cut_flits, stage.noc_cut_flits);
-    // Stages run sequentially within a time step: latency adds.
-    est_time_ps += stage.est_time_ps;
-    reload_time_ps += stage.reload_time_ps;
-    dynamic_energy_j += stage.dynamic_energy_j;
+    // accumulate, except that every stage saw the same frames and
+    // the per-chip plan diagnostics add up across the plan's chips.
+    // Stages run sequentially within a time step, so latency adds as
+    // accumulate adds it (same operands, same order).
+    const std::uint64_t merged_frames = std::max(frames, stage.frames);
+    const std::uint64_t merged_steps =
+        std::max(time_steps, stage.time_steps);
+    const std::uint64_t merged_disabled =
+        disabled_neurons + stage.disabled_neurons;
+    const std::uint64_t merged_reloads =
+        plan_reloads + stage.plan_reloads;
+    accumulate(stage);
+    frames = merged_frames;
+    time_steps = merged_steps;
+    disabled_neurons = merged_disabled;
+    plan_reloads = merged_reloads;
 }
 
 double

@@ -21,7 +21,6 @@
 #include "chip/kernel.hh"
 #include "compiler/compile.hh"
 #include "npe/npe.hh"
-#include "snn/packed.hh"
 
 namespace sushi::chip {
 
@@ -216,19 +215,14 @@ class SushiChip
     /// counter arithmetic. Pulse outputs and every InferenceStats
     /// counter are bit-identical on every path;
     /// tests/test_packed_snn.cc fuzzes each build against the
-    /// oracle. A chip follows the process-wide snn::packed toggle
-    /// (SUSHI_PACKED) until setPackedKernels pins it.
+    /// oracle.
     /// @{
 
     /** Force the fast (true) or oracle (false) kernel on this chip. */
-    void setPackedKernels(bool on) { kernel_override_ = on ? 1 : 0; }
+    void setPackedKernels(bool on) { packed_kernels_ = on; }
 
     /** The kernel stepLayer will use right now. */
-    bool packedKernels() const
-    {
-        return kernel_override_ < 0 ? snn::packed::enabled()
-                                    : kernel_override_ == 1;
-    }
+    bool packedKernels() const { return packed_kernels_; }
 
     /// @}
 
@@ -269,7 +263,7 @@ class SushiChip
     InferenceStats stats_;
     std::vector<std::uint8_t> failed_npes_;
     compiler::NpeRemap remap_;
-    int kernel_override_ = -1; ///< -1 follow global, else 0/1
+    bool packed_kernels_ = true; ///< false: the Npe oracle
     double pulse_ps_; ///< modelled time per streamed pulse
     const kernel::Variant *kernel_; ///< the fast path's build
     kernel::Scratch scratch_;       ///< fast-kernel buffers

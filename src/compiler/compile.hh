@@ -71,12 +71,11 @@ struct CompiledLayer
 
     /**
      * Synapse sign bits, one row of laneWords(in_dim) words per
-     * output neuron ([out x words], flat). Same layout and bit
-     * convention as snn::packed::PackedLayer::signRow: bit 1 <=> the
-     * weight is >= 0 (excitatory; zero weights included), tail bits
+     * output neuron ([out x words], flat) — the binarized network's
+     * only sign-bit buffer. Bit 1 <=> the weight is >= 0
+     * (excitatory; zero weights included), 64 per word, tail bits
      * zero. Bits are in *scheduled* order: bit k of a row is the
-     * sign of input schedule.order[k], so a row is the PackedLayer
-     * row permuted by the schedule. Every scheduled input is in
+     * sign of input schedule.order[k]. Every scheduled input is in
      * exactly one class, so the chip derives a bucket's inhibitory
      * count as its active inputs minus the excitatory popcount.
      */

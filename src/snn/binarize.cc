@@ -141,7 +141,6 @@ BinarySnn::fromFloat(const SnnMlp &net)
         binarizeLayer(net.w1, net.b1, net.config().threshold));
     out.layers_.push_back(
         binarizeLayer(net.w2, net.b2, net.config().threshold));
-    out.buildPacked();
     return out;
 }
 
@@ -153,22 +152,7 @@ BinarySnn::fromLayers(std::vector<BinaryLayer> layers, int t_steps)
     BinarySnn out;
     out.layers_ = std::move(layers);
     out.t_steps_ = t_steps;
-    out.buildPacked();
     return out;
-}
-
-void
-BinarySnn::buildPacked()
-{
-    packed_.clear();
-    packed_.reserve(layers_.size());
-    bool ok = !layers_.empty();
-    for (const BinaryLayer &layer : layers_) {
-        packed_.push_back(packed::PackedLayer::fromSigned(
-            layer.weights, layer.thresholds));
-        ok = ok && packed_.back().packable();
-    }
-    packed_ready_ = ok;
 }
 
 int
@@ -188,22 +172,6 @@ BinarySnn::membrane(const BinaryLayer &layer, std::size_t neuron,
 std::vector<std::uint8_t>
 BinarySnn::stepForward(const std::vector<std::uint8_t> &frame) const
 {
-    if (packed_ready_ && packed::enabled()) {
-        // XNOR/popcount fast path; the scalar loop below is the
-        // oracle the differential fuzzer checks this against.
-        std::vector<std::uint8_t> act = frame;
-        packed::PackedActivations x;
-        for (const packed::PackedLayer &layer : packed_) {
-            sushi_assert(act.size() == layer.inDim());
-            packed::packRow(act, x);
-            std::vector<std::uint8_t> next(layer.outDim(), 0);
-            packed::spikeForward(layer, x, next.data(),
-                                 packed::Backend::Packed,
-                                 /*threads=*/1);
-            act = std::move(next);
-        }
-        return act;
-    }
     std::vector<std::uint8_t> act = frame;
     for (const BinaryLayer &layer : layers_) {
         sushi_assert(act.size() == layer.inDim());

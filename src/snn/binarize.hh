@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "snn/network.hh"
-#include "snn/packed.hh"
 
 namespace sushi::snn {
 
@@ -63,20 +62,6 @@ class BinarySnn
     int tSteps() const { return t_steps_; }
 
     /**
-     * True when every layer packed into XNOR/popcount form (all
-     * weights exactly -1/+1) so stepForward can take the bit-packed
-     * fast path. Hand-built layers with zero or junk weights keep
-     * the scalar path — packing never changes results.
-     */
-    bool packedReady() const { return packed_ready_; }
-
-    /** Per-layer packed kernels (valid iff packedReady()). */
-    const std::vector<packed::PackedLayer> &packedLayers() const
-    {
-        return packed_;
-    }
-
-    /**
      * Stateless forward over one binary input frame: returns the
      * spike vector of the final layer for this time step.
      */
@@ -104,11 +89,7 @@ class BinarySnn
                         const std::vector<std::uint8_t> &frame);
 
   private:
-    void buildPacked();
-
     std::vector<BinaryLayer> layers_;
-    std::vector<packed::PackedLayer> packed_;
-    bool packed_ready_ = false;
     int t_steps_ = 0;
 };
 

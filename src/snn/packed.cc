@@ -1,78 +1,13 @@
 #include "snn/packed.hh"
 
-#include <atomic>
 #include <bit>
 #include <cmath>
-#include <cstdlib>
 
 #include "common/cpu.hh"
 #include "common/logging.hh"
 #include "common/parallel.hh"
 
 namespace sushi::snn::packed {
-
-namespace {
-
-/** -1 = unresolved (read SUSHI_PACKED once), else 0/1. */
-std::atomic<int> g_enabled{-1};
-
-int
-resolveEnabled()
-{
-    int v = g_enabled.load(std::memory_order_relaxed);
-    if (v >= 0)
-        return v;
-    const char *e = std::getenv("SUSHI_PACKED");
-    v = (e != nullptr && e[0] == '0' && e[1] == '\0') ? 0 : 1;
-    // Another thread may race the first read; both compute the same
-    // value from the same environment, so either store wins safely.
-    g_enabled.store(v, std::memory_order_relaxed);
-    return v;
-}
-
-} // namespace
-
-bool
-enabled()
-{
-    return resolveEnabled() == 1;
-}
-
-void
-setEnabled(bool on)
-{
-    g_enabled.store(on ? 1 : 0, std::memory_order_relaxed);
-}
-
-void
-packRows(const std::uint8_t *const *rows, std::size_t batch,
-         std::size_t bits, PackedActivations &out)
-{
-    out.batch = batch;
-    out.bits = bits;
-    out.words = laneWords(bits);
-    out.lanes.assign(batch * out.words, 0);
-    out.active.assign(batch, 0);
-    for (std::size_t b = 0; b < batch; ++b) {
-        const std::uint8_t *src = rows[b];
-        std::uint64_t *dst = out.lanes.data() + b * out.words;
-        std::int32_t count = 0;
-        for (std::size_t i = 0; i < bits; ++i) {
-            if (src[i] != 0) {
-                dst[i / 64] |= std::uint64_t{1} << (i % 64);
-                ++count;
-            }
-        }
-        out.active[b] = count;
-    }
-}
-
-void
-packRow(const std::vector<std::uint8_t> &frame, PackedActivations &out)
-{
-    const std::uint8_t *row = frame.data();
-    packRows(&row, 1, frame.size(), out);
-}
 
 bool
 packFloatRows(const Tensor &x, PackedActivations &out)
@@ -99,34 +34,6 @@ packFloatRows(const Tensor &x, PackedActivations &out)
         out.active[b] = count;
     }
     return true;
-}
-
-PackedLayer
-PackedLayer::fromSigned(
-    const std::vector<std::vector<std::int8_t>> &weights,
-    const std::vector<int> &thresholds)
-{
-    PackedLayer layer;
-    layer.out_dim_ = weights.size();
-    layer.in_dim_ = weights.empty() ? 0 : weights[0].size();
-    layer.words_ = laneWords(layer.in_dim_);
-    layer.signs_.assign(layer.out_dim_ * layer.words_, 0);
-    layer.thresholds_ = thresholds;
-    sushi_assert(thresholds.size() == weights.size());
-    for (std::size_t o = 0; o < layer.out_dim_; ++o) {
-        const auto &row = weights[o];
-        if (row.size() != layer.in_dim_)
-            return layer; // ragged: not packable
-        std::uint64_t *dst = layer.signs_.data() + o * layer.words_;
-        for (std::size_t i = 0; i < layer.in_dim_; ++i) {
-            if (row[i] == 1)
-                dst[i / 64] |= std::uint64_t{1} << (i % 64);
-            else if (row[i] != -1)
-                return layer; // zero or junk weight: not packable
-        }
-    }
-    layer.packable_ = true;
-    return layer;
 }
 
 PackedLayer
@@ -225,21 +132,32 @@ dotBatch()
     return fn;
 }
 
-/** Shared batch-major driver: fn(o, b, dot) for every (neuron,
- *  sample) pair, neurons split across the pool. */
-template <typename Fn>
+} // namespace
+
 void
-forEachDot(const PackedLayer &layer, const PackedActivations &x,
-           Backend backend, int threads, Fn &&fn)
+effectiveForward(const PackedLayer &layer, const PackedActivations &x,
+                 Tensor &out, Backend backend, int threads)
 {
     sushi_assert(layer.packable());
     sushi_assert(x.bits == layer.inDim());
+    sushi_assert(out.rows() == x.batch &&
+                 out.cols() == layer.outDim());
+    const auto &alpha = layer.alpha();
+    const auto &bias = layer.bias();
+    sushi_assert(alpha.size() == layer.outDim());
     const std::size_t batch = x.batch;
+    // One shared epilogue: both backends produce the identical
+    // float, so packed == scalar bitwise.
+    auto emit = [&](std::size_t o, std::size_t b, int d) {
+        out.at(b, o) = bias[o] + alpha[o] * static_cast<float>(d);
+    };
     ParallelOptions opts;
     opts.grain = 16;
     opts.max_workers =
         threads <= 0 ? 0 : static_cast<unsigned>(threads);
     const DotBatchFn dot_batch = dotBatch();
+    // Batch-major: neurons split across the pool, each sign row
+    // streamed over the whole batch.
     parallelFor(
         layer.outDim(),
         [&](std::size_t o0, std::size_t o1) {
@@ -248,50 +166,15 @@ forEachDot(const PackedLayer &layer, const PackedActivations &x,
                 for (std::size_t o = o0; o < o1; ++o) {
                     dot_batch(layer.signRow(o), x, dots.data());
                     for (std::size_t b = 0; b < batch; ++b)
-                        fn(o, b, dots[b]);
+                        emit(o, b, dots[b]);
                 }
                 return;
             }
             for (std::size_t o = o0; o < o1; ++o)
                 for (std::size_t b = 0; b < batch; ++b)
-                    fn(o, b, scalarDot(layer, o, x.row(b), x.bits));
+                    emit(o, b, scalarDot(layer, o, x.row(b), x.bits));
         },
         opts);
-}
-
-} // namespace
-
-void
-spikeForward(const PackedLayer &layer, const PackedActivations &x,
-             std::uint8_t *spikes, Backend backend, int threads)
-{
-    sushi_assert(!layer.thresholds().empty() ||
-                 layer.outDim() == 0);
-    const std::size_t out_dim = layer.outDim();
-    const auto &thr = layer.thresholds();
-    forEachDot(layer, x, backend, threads,
-               [&](std::size_t o, std::size_t b, int d) {
-                   spikes[b * out_dim + o] = d >= thr[o] ? 1 : 0;
-               });
-}
-
-void
-effectiveForward(const PackedLayer &layer, const PackedActivations &x,
-                 Tensor &out, Backend backend, int threads)
-{
-    sushi_assert(out.rows() == x.batch &&
-                 out.cols() == layer.outDim());
-    const auto &alpha = layer.alpha();
-    const auto &bias = layer.bias();
-    sushi_assert(alpha.size() == layer.outDim());
-    forEachDot(layer, x, backend, threads,
-               [&](std::size_t o, std::size_t b, int d) {
-                   // One shared epilogue: both backends produce the
-                   // identical float, so packed == scalar bitwise.
-                   out.at(b, o) =
-                       bias[o] +
-                       alpha[o] * static_cast<float>(d);
-               });
 }
 
 } // namespace sushi::snn::packed

@@ -1,34 +1,34 @@
 /**
  * @file
- * Bit-packed XNOR/popcount kernels for binarized fully-connected
- * layers (ROADMAP item 1; the `binarized_fc_layer` trick).
+ * Bit-packed XNOR/popcount forward for the binarization-aware
+ * trainer's +-alpha layers (SnnMlp::forwardWith; the
+ * `binarized_fc_layer` trick).
  *
- * A {-1, +1} weight row is stored as sign bits in `uint64_t` lanes
- * (bit = 1 <=> weight +1); a binary activation row packs the same
- * way. Because the XNOR-Net product over binary activations is
+ * An XNOR-Net effective weight row (every entry +-alpha_o) is stored
+ * as alpha_o plus sign bits in `uint64_t` lanes (bit = 1 <=> weight
+ * +alpha); a binary activation row packs the same way. Because the
+ * product over binary activations is
  *
  *     B . x  =  (+1 matches) - (-1 matches)
  *            =  2 * popcount(x & signs) - popcount(x)
  *
  * one 64-lane AND + popcount replaces 64 scalar multiply-adds. The
- * kernels are batch-major: the outer loop walks output neurons, so
+ * kernel is batch-major: the outer loop walks output neurons, so
  * each packed weight row is fetched once and streamed across the
- * whole serving batch.
+ * whole batch.
  *
- * Every kernel has two backends computing *bit-identical* results:
+ * effectiveForward has two backends computing *bit-identical*
+ * results:
  *
  *  - Backend::Scalar — the oracle. Walks the sign bits one element
- *    at a time and accumulates the integer dot product exactly as
- *    the pre-packed element-by-element code did.
- *  - Backend::Packed — the XNOR/popcount fast path.
+ *    at a time and accumulates the integer dot product.
+ *  - Backend::Packed — the XNOR/popcount fast path the trainer runs.
  *
  * Both backends share one float epilogue (`bias + alpha * dot`) and
  * the dot product is exact integer arithmetic in either, so packed
  * vs. scalar equality is bitwise — the property the differential
- * fuzzer in tests/test_packed_snn.cc hammers. The process-wide
- * toggle below selects the backend for every wired call site
- * (BinarySnn::stepForward, SnnMlp::forwardWith, SushiChip); the env
- * variable SUSHI_PACKED=0 forces the scalar oracle everywhere.
+ * fuzzer in tests/test_packed_snn.cc hammers, together with an
+ * independent reference taken straight off the signs.
  *
  * Tail handling: for in_dim not a multiple of 64 the final lane's
  * high bits are zero in both the packed weights and every packed
@@ -52,22 +52,6 @@ enum class Backend
     Scalar, ///< element-by-element integer dot (the oracle)
     Packed, ///< XNOR + popcount over uint64_t lanes
 };
-
-/**
- * Process-wide packed-kernel toggle. Defaults to on; the environment
- * variable SUSHI_PACKED=0 (checked once, on first use) or
- * setEnabled(false) forces the scalar oracle. Reads and writes are
- * atomic so tests may flip it around threaded regions.
- */
-bool enabled();
-void setEnabled(bool on);
-
-/** The backend the toggle currently selects. */
-inline Backend
-activeBackend()
-{
-    return enabled() ? Backend::Packed : Backend::Scalar;
-}
 
 /** Lanes needed for @p bits packed 64 per word. */
 inline std::size_t
@@ -96,14 +80,6 @@ struct PackedActivations
     }
 };
 
-/** Pack @p batch rows of @p bits uint8 activations (nonzero = 1). */
-void packRows(const std::uint8_t *const *rows, std::size_t batch,
-              std::size_t bits, PackedActivations &out);
-
-/** Pack one uint8 frame (batch of one). */
-void packRow(const std::vector<std::uint8_t> &frame,
-             PackedActivations &out);
-
 /**
  * Pack a [batch x bits] float tensor whose entries are exactly 0.0f
  * or 1.0f (spike frames).
@@ -113,29 +89,18 @@ void packRow(const std::vector<std::uint8_t> &frame,
 bool packFloatRows(const Tensor &x, PackedActivations &out);
 
 /**
- * One fully-connected layer with {-1, +1} weights packed as sign
- * bits. Carries integer firing thresholds (spikeForward, built from
- * a binarized layer) and/or the XNOR-Net float epilogue alpha/bias
- * (effectiveForward, built from effective weights).
+ * One fully-connected layer of XNOR-Net effective weights: {-1, +1}
+ * signs packed as bits plus the float epilogue alpha/bias.
  *
- * Construction is *validating*: inputs without the exact binary
- * structure yield packable() == false and the caller keeps its
- * scalar path. This is what makes the wiring safe to leave on by
- * default — a zero weight, a non-uniform row, or a NaN can never
- * silently change results.
+ * Construction is *validating*: weights without the exact +-alpha
+ * structure yield packable() == false and the caller keeps its dense
+ * float path — a non-uniform row or a NaN can never silently change
+ * results.
  */
 class PackedLayer
 {
   public:
     PackedLayer() = default;
-
-    /**
-     * Build from signed int8 weights [out][in] and integer firing
-     * thresholds. packable() == false if any weight is not -1/+1.
-     */
-    static PackedLayer
-    fromSigned(const std::vector<std::vector<std::int8_t>> &weights,
-               const std::vector<int> &thresholds);
 
     /**
      * Build from XNOR-Net effective float weights: every row must be
@@ -156,10 +121,7 @@ class PackedLayer
         return signs_.data() + o * words_;
     }
 
-    /** Integer firing thresholds (fromSigned only). */
-    const std::vector<int> &thresholds() const { return thresholds_; }
-
-    /** Per-row alpha / bias epilogue (fromEffective only). */
+    /** Per-row alpha / bias epilogue. */
     const std::vector<float> &alpha() const { return alpha_; }
     const std::vector<float> &bias() const { return bias_; }
 
@@ -169,28 +131,17 @@ class PackedLayer
     std::size_t words_ = 0;
     bool packable_ = false;
     std::vector<std::uint64_t> signs_; ///< [out x words], tail zero
-    std::vector<int> thresholds_;
     std::vector<float> alpha_;
     std::vector<float> bias_;
 };
 
 /**
- * Stateless binarized FC forward: spikes[b * outDim + o] =
- * (B_o . x_b >= threshold_o). Layer must come from fromSigned.
- * Batch-major; optionally threaded over output neurons via
- * common/parallel (@p threads <= 0 uses the shared pool width,
- * 1 forces sequential). Results are bit-identical across backends
- * and thread counts.
- */
-void spikeForward(const PackedLayer &layer,
-                  const PackedActivations &x, std::uint8_t *spikes,
-                  Backend backend, int threads = 1);
-
-/**
  * Float binary-dense forward for the binarization-aware trainer:
- * out(b, o) = bias_o + alpha_o * (B_o . x_b). Layer must come from
- * fromEffective; out must be [batch x outDim]. Same determinism
- * contract as spikeForward.
+ * out(b, o) = bias_o + alpha_o * (B_o . x_b). Layer must be
+ * packable(); out must be [batch x outDim]. Batch-major; optionally
+ * threaded over output neurons via common/parallel (@p threads <= 0
+ * uses the shared pool width, 1 forces sequential). Results are
+ * bit-identical across backends and thread counts.
  */
 void effectiveForward(const PackedLayer &layer,
                       const PackedActivations &x, Tensor &out,

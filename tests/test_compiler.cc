@@ -247,7 +247,6 @@ TEST(Compile, SignRowsArePackedRowsInScheduleOrder)
     cfg.stateless = true;
     snn::SnnMlp mlp(cfg, 23);
     auto bin = snn::BinarySnn::fromFloat(mlp);
-    ASSERT_TRUE(bin.packedReady());
     ChipConfig chip;
     chip.n = 4;
     auto compiled = compileNetwork(bin, chip);
@@ -256,17 +255,17 @@ TEST(Compile, SignRowsArePackedRowsInScheduleOrder)
     };
     for (std::size_t l = 0; l < compiled.layers.size(); ++l) {
         const auto &layer = compiled.layers[l];
-        const auto &packed = bin.packedLayers()[l];
-        const std::size_t in_dim = packed.inDim();
+        const auto &weights = bin.layers()[l].weights;
+        const std::size_t in_dim = bin.layers()[l].inDim();
         const std::size_t words = layer.signWords();
-        ASSERT_EQ(words, packed.words());
-        ASSERT_EQ(layer.signs.size(), packed.outDim() * words);
-        for (std::size_t o = 0; o < packed.outDim(); ++o) {
+        ASSERT_EQ(words, (in_dim + 63) / 64);
+        ASSERT_EQ(layer.signs.size(), weights.size() * words);
+        for (std::size_t o = 0; o < weights.size(); ++o) {
             for (std::size_t k = 0; k < in_dim; ++k) {
                 const auto idx =
                     static_cast<std::size_t>(layer.schedule.order[k]);
                 EXPECT_EQ(bit(layer.signRow(o), k),
-                          bit(packed.signRow(o), idx))
+                          weights[o][idx] >= 0 ? 1u : 0u)
                     << "layer " << l << " neuron " << o << " pos "
                     << k;
             }

@@ -1,22 +1,21 @@
 /**
  * @file
- * Differential-fuzzing parity harness for the bit-packed
- * XNOR/popcount kernel layer (snn/packed) and every call site wired
- * behind the SUSHI_PACKED toggle:
+ * Differential-fuzzing parity harness for the binarized kernels:
  *
- *  - packed vs scalar-oracle kernels over hundreds of seeded random
- *    shapes (ragged in_dim % 64 in {0, 1, 63}, batch = 1, varying
- *    thread counts) — bit-identical spikes and floats;
- *  - BinarySnn::stepForward and SnnMlp::forwardWith toggle on/off —
- *    byte-identical results, including the fall-back cases (zero
- *    weights, non-binary structure) where packing must refuse;
+ *  - the trainer's packed +-alpha forward (snn/packed) vs its
+ *    scalar-oracle backend and an independent reference taken
+ *    straight off the signs, over hundreds of seeded random shapes
+ *    (ragged in_dim % 64 in {0, 1, 63}, batch = 1, varying thread
+ *    counts and activation densities) — bit-identical floats;
+ *  - BinarySnn::stepForward, the scalar reference, on hand-built
+ *    layers with zero weights;
  *  - SushiChip crossing-count counter vs the Npe-object oracle, for
  *    every fast-kernel build the CPU runs, including wrap-around
  *    borrows (tiny counters), multi-pulse extras, buckets straddling
  *    64-bit sign-row words, partial and mixed disabled/live groups
  *    of eight neurons, and degraded-mode remaps;
- *  - InferenceEngine / Server virtual-clock replay with packed
- *    kernels forced on vs off — byte-identical stats/metrics JSON;
+ *  - InferenceEngine merged stats vs per-sample oracle chips merged
+ *    in sample order — byte-identical stats JSON;
  *  - binarize deterministic-rounding fixes (sign of zero, NaN,
  *    denormal alpha, astronomically large raw thresholds).
  */
@@ -26,7 +25,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <future>
 #include <limits>
 #include <vector>
 
@@ -36,7 +34,6 @@
 #include "common/rng.hh"
 #include "compiler/compile.hh"
 #include "engine/inference_engine.hh"
-#include "serve/server.hh"
 #include "snn/binarize.hh"
 #include "snn/network.hh"
 #include "snn/packed.hh"
@@ -48,14 +45,6 @@ namespace {
 using snn::packed::Backend;
 using snn::packed::PackedActivations;
 using snn::packed::PackedLayer;
-
-/** Restores the process-wide packed toggle on scope exit, so a test
- *  that flips it can never leak state into later tests. */
-struct ToggleGuard
-{
-    bool prev = snn::packed::enabled();
-    ~ToggleGuard() { snn::packed::setEnabled(prev); }
-};
 
 snn::BinarySnn
 tinyNet(std::size_t input, std::size_t hidden, std::size_t output,
@@ -103,68 +92,10 @@ sampleInDim(int c, Rng &rng)
     }
 }
 
-TEST(PackedFuzz, SpikeForwardDifferential)
-{
-    const int kThreads[] = {0, 1, 2, 8};
-    for (int c = 0; c < 240; ++c) {
-        Rng rng(1000 + static_cast<std::uint64_t>(c));
-        const std::size_t in_dim = sampleInDim(c, rng);
-        const std::size_t out_dim = 1 + rng.below(40);
-        const std::size_t batch = c % 5 == 0 ? 1 : 1 + rng.below(6);
-        const int threads = kThreads[rng.below(4)];
-
-        std::vector<std::vector<std::int8_t>> w(out_dim);
-        std::vector<int> thr(out_dim);
-        for (std::size_t o = 0; o < out_dim; ++o) {
-            w[o].resize(in_dim);
-            for (auto &v : w[o])
-                v = rng.chance(0.5) ? 1 : -1;
-            thr[o] = static_cast<int>(
-                rng.range(-static_cast<std::int64_t>(in_dim) - 1,
-                          static_cast<std::int64_t>(in_dim) + 1));
-        }
-        const PackedLayer layer = PackedLayer::fromSigned(w, thr);
-        ASSERT_TRUE(layer.packable()) << "case " << c;
-
-        std::vector<std::vector<std::uint8_t>> act(batch);
-        std::vector<const std::uint8_t *> rows(batch);
-        for (std::size_t b = 0; b < batch; ++b) {
-            act[b].resize(in_dim);
-            for (auto &v : act[b])
-                v = rng.chance(rng.uniform()) ? 1 : 0;
-            rows[b] = act[b].data();
-        }
-        PackedActivations x;
-        snn::packed::packRows(rows.data(), batch, in_dim, x);
-
-        std::vector<std::uint8_t> fast(batch * out_dim, 9);
-        std::vector<std::uint8_t> oracle(batch * out_dim, 9);
-        snn::packed::spikeForward(layer, x, fast.data(),
-                                  Backend::Packed, threads);
-        snn::packed::spikeForward(layer, x, oracle.data(),
-                                  Backend::Scalar, 1);
-        ASSERT_EQ(fast, oracle) << "case " << c;
-
-        // Independent plain-int reference, straight off the signed
-        // weights — catches a bug shared by both kernel backends.
-        for (std::size_t b = 0; b < batch; ++b) {
-            for (std::size_t o = 0; o < out_dim; ++o) {
-                int dot = 0;
-                for (std::size_t i = 0; i < in_dim; ++i)
-                    if (act[b][i])
-                        dot += w[o][i];
-                const std::uint8_t want = dot >= thr[o] ? 1 : 0;
-                ASSERT_EQ(fast[b * out_dim + o], want)
-                    << "case " << c << " b " << b << " o " << o;
-            }
-        }
-    }
-}
-
 TEST(PackedFuzz, EffectiveForwardDifferential)
 {
     const int kThreads[] = {0, 1, 2, 8};
-    for (int c = 0; c < 120; ++c) {
+    for (int c = 0; c < 240; ++c) {
         Rng rng(5000 + static_cast<std::uint64_t>(c));
         const std::size_t in_dim = sampleInDim(c, rng);
         const std::size_t out_dim = 1 + rng.below(24);
@@ -184,9 +115,10 @@ TEST(PackedFuzz, EffectiveForwardDifferential)
         const PackedLayer layer = PackedLayer::fromEffective(w, bias);
         ASSERT_TRUE(layer.packable()) << "case " << c;
 
+        const double density = rng.uniform();
         snn::Tensor x(batch, in_dim);
         for (std::size_t i = 0; i < x.size(); ++i)
-            x.data()[i] = rng.chance(0.5) ? 1.0f : 0.0f;
+            x.data()[i] = rng.chance(density) ? 1.0f : 0.0f;
         PackedActivations px;
         ASSERT_TRUE(snn::packed::packFloatRows(x, px));
 
@@ -199,15 +131,27 @@ TEST(PackedFuzz, EffectiveForwardDifferential)
                               fast.size() * sizeof(float)),
                   0)
             << "case " << c;
+
+        // Independent plain-int reference, straight off the +-1
+        // signs — catches a bug shared by both kernel backends.
+        for (std::size_t b = 0; b < batch; ++b) {
+            for (std::size_t o = 0; o < out_dim; ++o) {
+                int dot = 0;
+                for (std::size_t i = 0; i < in_dim; ++i)
+                    if (x.at(b, i) != 0.0f)
+                        dot += w.at(o, i) > 0.0f ? 1 : -1;
+                const float want =
+                    bias[o] + layer.alpha()[o] * static_cast<float>(dot);
+                const float got = fast.at(b, o);
+                ASSERT_EQ(std::memcmp(&got, &want, sizeof(float)), 0)
+                    << "case " << c << " b " << b << " o " << o;
+            }
+        }
     }
 }
 
 TEST(PackedLayer, RejectsNonBinaryInputs)
 {
-    // A zero int8 weight is not packable.
-    std::vector<std::vector<std::int8_t>> w = {{1, -1, 0}};
-    EXPECT_FALSE(PackedLayer::fromSigned(w, {0}).packable());
-
     // Non-uniform magnitude within a row is not packable.
     snn::Tensor e(1, 3);
     e.at(0, 0) = 0.5f;
@@ -230,143 +174,36 @@ TEST(PackedLayer, RejectsNonBinaryInputs)
     EXPECT_FALSE(snn::packed::packFloatRows(x, px));
 }
 
-TEST(PackedToggle, SetterControlsBackend)
-{
-    ToggleGuard guard;
-    snn::packed::setEnabled(false);
-    EXPECT_FALSE(snn::packed::enabled());
-    EXPECT_EQ(snn::packed::activeBackend(), Backend::Scalar);
-    snn::packed::setEnabled(true);
-    EXPECT_TRUE(snn::packed::enabled());
-    EXPECT_EQ(snn::packed::activeBackend(), Backend::Packed);
-}
-
-TEST(BinarySnnParity, ToggleByteIdentical)
-{
-    ToggleGuard guard;
-    for (std::uint64_t seed = 0; seed < 8; ++seed) {
-        const auto net = tinyNet(70, 12, 4, 3, 60 + seed);
-        ASSERT_TRUE(net.packedReady());
-        ASSERT_EQ(net.packedLayers().size(), net.layers().size());
-        const auto frames = randomFrames(70, 3, 0.4, 200 + seed);
-
-        snn::packed::setEnabled(true);
-        const auto on_counts = net.forwardCounts(frames);
-        const auto on_step = net.stepForward(frames[0]);
-        snn::packed::setEnabled(false);
-        const auto off_counts = net.forwardCounts(frames);
-        const auto off_step = net.stepForward(frames[0]);
-
-        EXPECT_EQ(on_counts, off_counts) << "seed " << seed;
-        EXPECT_EQ(on_step, off_step) << "seed " << seed;
-    }
-}
-
 TEST(BinarySnnParity, ZeroWeightKeepsScalarPath)
 {
-    ToggleGuard guard;
-    // Hand-built layer with a zero weight: packing must refuse and
-    // the toggle must have no effect on results.
+    // Hand-built layer with a zero weight: stepForward, the scalar
+    // reference, fires exactly where the integer membrane reaches the
+    // threshold, so the zero weight contributes nothing.
     snn::BinaryLayer layer;
     layer.weights = {{1, 0, -1, 1}, {-1, -1, 1, 1}};
     layer.thresholds = {1, 0};
     auto net = snn::BinarySnn::fromLayers({layer}, 2);
-    EXPECT_FALSE(net.packedReady());
 
-    const auto frames = randomFrames(4, 2, 0.6, 77);
-    snn::packed::setEnabled(true);
-    const auto on = net.forwardCounts(frames);
-    snn::packed::setEnabled(false);
-    const auto off = net.forwardCounts(frames);
-    EXPECT_EQ(on, off);
-}
-
-TEST(TrainerParity, ForwardWithToggleByteIdentical)
-{
-    ToggleGuard guard;
-    snn::SnnConfig cfg;
-    cfg.input = 66; // ragged lane tail
-    cfg.hidden = 9;
-    cfg.output = 3;
-    cfg.t_steps = 3;
-    snn::SnnMlp net(cfg, 17);
-    const snn::Tensor e1 = snn::binaryEffectiveWeights(net.w1);
-    const snn::Tensor e2 = snn::binaryEffectiveWeights(net.w2);
-
-    Rng rng(91);
-    std::vector<snn::Tensor> frames;
-    for (int t = 0; t < cfg.t_steps; ++t) {
-        snn::Tensor f(5, cfg.input);
-        for (std::size_t i = 0; i < f.size(); ++i)
-            f.data()[i] = rng.chance(0.5) ? 1.0f : 0.0f;
-        frames.push_back(std::move(f));
+    const auto frames = randomFrames(4, 8, 0.6, 77);
+    std::vector<int> want_counts(2, 0);
+    for (const auto &frame : frames) {
+        std::vector<std::uint8_t> want(2);
+        for (std::size_t o = 0; o < 2; ++o) {
+            want[o] = snn::BinarySnn::membrane(layer, o, frame) >=
+                              layer.thresholds[o]
+                          ? 1
+                          : 0;
+            want_counts[o] += want[o];
+        }
+        EXPECT_EQ(net.stepForward(frame), want);
     }
+    EXPECT_EQ(net.forwardCounts(frames), want_counts);
 
-    snn::ForwardTrace tr_on, tr_off;
-    snn::packed::setEnabled(true);
-    const snn::Tensor on = net.forwardWith(e1, e2, frames, &tr_on);
-    snn::packed::setEnabled(false);
-    const snn::Tensor off = net.forwardWith(e1, e2, frames, &tr_off);
-
-    ASSERT_EQ(on.size(), off.size());
-    EXPECT_EQ(std::memcmp(on.data(), off.data(),
-                          on.size() * sizeof(float)),
-              0);
-    for (int t = 0; t < cfg.t_steps; ++t) {
-        const auto ti = static_cast<std::size_t>(t);
-        EXPECT_EQ(std::memcmp(tr_on.v1_pre[ti].data(),
-                              tr_off.v1_pre[ti].data(),
-                              tr_on.v1_pre[ti].size() * sizeof(float)),
-                  0)
-            << "t " << t;
-        EXPECT_EQ(std::memcmp(tr_on.s2[ti].data(),
-                              tr_off.s2[ti].data(),
-                              tr_on.s2[ti].size() * sizeof(float)),
-                  0)
-            << "t " << t;
-    }
-}
-
-TEST(TrainerParity, TrainingRunToggleByteIdentical)
-{
-    ToggleGuard guard;
-    snn::SnnConfig cfg;
-    cfg.input = 12;
-    cfg.hidden = 8;
-    cfg.output = 3;
-    cfg.t_steps = 2;
-
-    Rng rng(3);
-    snn::Tensor images(24, cfg.input);
-    for (std::size_t i = 0; i < images.size(); ++i)
-        images.data()[i] = static_cast<float>(rng.uniform());
-    std::vector<int> labels(24);
-    for (auto &l : labels)
-        l = static_cast<int>(rng.below(3));
-
-    snn::TrainConfig tcfg;
-    tcfg.epochs = 2;
-    tcfg.batch = 8;
-    tcfg.binary_aware = true;
-
-    auto trainOnce = [&](bool packed_on) {
-        snn::packed::setEnabled(packed_on);
-        snn::SnnMlp net(cfg, 29);
-        snn::Trainer trainer(net, tcfg);
-        const snn::TrainStats stats = trainer.fit(images, labels);
-        return std::make_tuple(net.w1, net.w2, stats);
-    };
-    const auto [w1_on, w2_on, st_on] = trainOnce(true);
-    const auto [w1_off, w2_off, st_off] = trainOnce(false);
-
-    EXPECT_EQ(std::memcmp(w1_on.data(), w1_off.data(),
-                          w1_on.size() * sizeof(float)),
-              0);
-    EXPECT_EQ(std::memcmp(w2_on.data(), w2_off.data(),
-                          w2_on.size() * sizeof(float)),
-              0);
-    EXPECT_EQ(st_on.epoch_loss, st_off.epoch_loss);
-    EXPECT_EQ(st_on.epoch_train_acc, st_off.epoch_train_acc);
+    // Only the zero-weight input active: neuron 0's membrane stays
+    // 0, below its threshold of 1 (a +1 there would fire it).
+    const std::vector<std::uint8_t> only_zero = {0, 1, 0, 0};
+    EXPECT_EQ(snn::BinarySnn::membrane(layer, 0, only_zero), 0);
+    EXPECT_EQ(net.stepForward(only_zero)[0], 0);
 }
 
 void
@@ -757,7 +594,8 @@ TEST(ChipParity, ZeroWeightStepsLikePlusOne)
 
 TEST(ChipParity, InferCountsFollowsGlobalToggle)
 {
-    ToggleGuard guard;
+    // A chip runs its fast kernel unless setPackedKernels(false)
+    // pins it to the Npe oracle; whole-network inference agrees.
     const auto net = tinyNet(24, 10, 4, 4, 41);
     compiler::ChipConfig ccfg;
     ccfg.n = 8;
@@ -765,18 +603,17 @@ TEST(ChipParity, InferCountsFollowsGlobalToggle)
     const auto compiled = compiler::compileNetwork(net, ccfg);
     const auto frames = randomFrames(24, 4, 0.5, 11);
 
-    snn::packed::setEnabled(true);
-    chip::SushiChip on(ccfg);
-    EXPECT_TRUE(on.packedKernels());
-    const auto counts_on = on.inferCounts(compiled, frames);
+    chip::SushiChip fast(ccfg);
+    EXPECT_TRUE(fast.packedKernels());
+    const auto counts_fast = fast.inferCounts(compiled, frames);
 
-    snn::packed::setEnabled(false);
-    chip::SushiChip off(ccfg);
-    EXPECT_FALSE(off.packedKernels());
-    const auto counts_off = off.inferCounts(compiled, frames);
+    chip::SushiChip oracle(ccfg);
+    oracle.setPackedKernels(false);
+    EXPECT_FALSE(oracle.packedKernels());
+    const auto counts_oracle = oracle.inferCounts(compiled, frames);
 
-    EXPECT_EQ(counts_on, counts_off);
-    expectStatsEq(on.stats(), off.stats(), -1);
+    EXPECT_EQ(counts_fast, counts_oracle);
+    expectStatsEq(fast.stats(), oracle.stats(), -1);
 }
 
 std::shared_ptr<const engine::CompiledModel>
@@ -808,60 +645,28 @@ randomSamples(std::size_t n, std::size_t dim, int t_steps,
 
 TEST(EngineParity, MergedStatsByteIdentical)
 {
+    // The engine's fast kernel on three replicas against one Npe
+    // oracle chip per sample, merged in sample order.
     const auto model = smallModel();
     const auto samples = randomSamples(24, 16, 3, 5);
 
-    ToggleGuard guard;
-    auto runWith = [&](bool packed_on) {
-        snn::packed::setEnabled(packed_on);
-        engine::EngineConfig cfg;
-        cfg.replicas = 3;
-        engine::InferenceEngine eng(model, cfg);
-        return eng.run(samples);
-    };
-    const auto on = runWith(true);
-    const auto off = runWith(false);
+    engine::EngineConfig cfg;
+    cfg.replicas = 3;
+    engine::InferenceEngine eng(model, cfg);
+    const auto run = eng.run(samples);
+    ASSERT_EQ(run.samples.size(), samples.size());
 
-    ASSERT_EQ(on.samples.size(), off.samples.size());
-    for (std::size_t i = 0; i < on.samples.size(); ++i) {
-        EXPECT_EQ(on.samples[i].prediction, off.samples[i].prediction)
-            << "sample " << i;
-        EXPECT_EQ(on.samples[i].counts, off.samples[i].counts)
-            << "sample " << i;
+    chip::InferenceStats want;
+    for (std::size_t i = 0; i < samples.size(); ++i) {
+        chip::SushiChip oracle(model->chip());
+        oracle.setPackedKernels(false);
+        const auto counts =
+            oracle.inferCounts(model->compiled(), samples[i]);
+        EXPECT_EQ(run.samples[i].counts, counts) << "sample " << i;
+        want.accumulate(oracle.stats());
     }
-    EXPECT_EQ(engine::statsJson(on.merged),
-              engine::statsJson(off.merged));
-}
-
-TEST(ServeParity, VirtualReplayByteIdentical)
-{
-    const auto model = smallModel();
-    const auto samples = randomSamples(20, 16, 3, 9);
-
-    ToggleGuard guard;
-    auto replay = [&](bool packed_on) {
-        snn::packed::setEnabled(packed_on);
-        serve::ServerConfig cfg;
-        cfg.engine.replicas = 2;
-        cfg.max_batch = 4;
-        cfg.max_delay_ns = 500;
-        cfg.clock = serve::ClockMode::Virtual;
-        serve::Server server(model, cfg);
-        std::vector<std::future<serve::Response>> futs;
-        for (std::size_t i = 0; i < samples.size(); ++i)
-            futs.push_back(server.submitAt(
-                static_cast<std::int64_t>(i) * 120, samples[i]));
-        server.runVirtual();
-        std::vector<int> preds;
-        for (auto &f : futs)
-            preds.push_back(f.get().result.prediction);
-        return std::make_pair(server.metrics().toJson(),
-                              std::move(preds));
-    };
-    const auto [json_on, preds_on] = replay(true);
-    const auto [json_off, preds_off] = replay(false);
-    EXPECT_EQ(preds_on, preds_off);
-    EXPECT_EQ(json_on, json_off);
+    want.dynamic_energy_j = chip::dynamicEnergyJ(want.synaptic_ops);
+    EXPECT_EQ(engine::statsJson(run.merged), engine::statsJson(want));
 }
 
 TEST(BinarizeFuzz, SignOfZeroAndNaN)
